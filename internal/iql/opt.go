@@ -44,6 +44,13 @@ type compCtx struct {
 	// cannot syntactically contain itself, so re-entry is impossible
 	// today, but a fresh ctx is used if that ever changes.
 	active bool
+
+	// shared, set only on the workers of a sharded scan, holds the
+	// constant generator sources of the qualifier tail, indexed like
+	// quals: the first worker to reach one evaluates it for all, so
+	// the scan evaluates (and charges) it once, as the serial loop
+	// does (see parallel.go).
+	shared []*sharedSource
 }
 
 // qualState is one qualifier's analysis results and evaluation state.
@@ -209,7 +216,15 @@ func (ctx *compCtx) source(i int, g *Generator, env *Env) ([]Value, error) {
 	if qs.constSrc && qs.srcSet {
 		return qs.srcVal.Elements()
 	}
-	v, err := ctx.ev.eval(g.Src, env)
+	var v Value
+	var err error
+	if ctx.shared != nil && ctx.shared[i] != nil {
+		sh := ctx.shared[i]
+		sh.once.Do(func() { sh.val, sh.err = ctx.ev.eval(g.Src, env) })
+		v, err = sh.val, sh.err
+	} else {
+		v, err = ctx.ev.eval(g.Src, env)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -30,11 +30,15 @@ import (
 //   - The enclosing Env chain is shared read-only: the evaluator that
 //     owns it is parked in runSharded until the merge, and IQL has no
 //     assignment, so workers only Lookup.
+//   - Constant generator sources of the qualifier tail (the inner
+//     side of a join, typically) are shared: the first worker to reach
+//     one evaluates it for every worker, so the scan evaluates it, and
+//     charges its step, exactly once, as the serial loop does.
 //   - Extents (the query processor's session) are NOT concurrency-
 //     safe, so workers route every scheme-reference resolution through
 //     one lockedExtents adapter. Extent calls are rare (constant
-//     sources are fetched once per worker and memoised upstream), so
-//     the lock is quiet.
+//     sources are fetched once per scan and memoised upstream), so the
+//     lock is quiet.
 //   - Join indexes are shared read-only through the evaluator's
 //     JoinIndexCache, which is concurrency-safe; ValueIndex.Probe
 //     never mutates the index. Workers that miss race to build
@@ -107,6 +111,14 @@ func (st *EvalStats) Sharded() []ShardStat {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return append([]ShardStat(nil), st.sharded...)
+}
+
+// sharedSource is one constant generator source shared by the workers
+// of a sharded scan, evaluated by whichever worker reaches it first.
+type sharedSource struct {
+	once sync.Once
+	val  Value
+	err  error
 }
 
 // lockedExtents serialises extent resolution across the workers of one
@@ -200,6 +212,15 @@ func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, ou
 		ext = NoExtents
 	}
 	locked := &lockedExtents{ext: ext}
+	var consts []*sharedSource
+	for j := next; j < len(ctx.comp.Quals); j++ {
+		if _, ok := ctx.comp.Quals[j].(*Generator); ok && ctx.quals[j].constSrc {
+			if consts == nil {
+				consts = make([]*sharedSource, len(ctx.comp.Quals))
+			}
+			consts[j] = &sharedSource{}
+		}
+	}
 
 	results := make([][]Value, shards)
 	errs := make([]error, shards)
@@ -226,6 +247,7 @@ func (ctx *compCtx) runSharded(g *Generator, els []Value, next int, env *Env, ou
 			// memoised constant sources and built join indexes carry
 			// across shards, exactly as one serial invocation would.
 			wctx := wev.compCtxFor(ctx.comp)
+			wctx.shared = consts
 			defer wctx.release()
 			child := env.Child()
 			for {

@@ -190,9 +190,12 @@ func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int)
 	// finish records the scan's one outcome: breaker verdict, span end,
 	// per-source metrics. aborted=true means the consumer walked away
 	// (early Close, request cancellation) — that says nothing about the
-	// source, so no outcome is recorded against the breaker.
+	// source, so no outcome is recorded against the breaker. pulled is
+	// the footprint of the rows read from the scanner, reported as the
+	// scan's bytes when the wrapper reported no wire bytes, exactly as
+	// source.fetch falls back to the materialised extent's footprint.
 	finished := false
-	finish := func(ferr error, rows int64, aborted bool) {
+	finish := func(ferr error, rows, pulled int64, aborted bool) {
 		if finished {
 			return
 		}
@@ -204,11 +207,15 @@ func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int)
 				br.record(ferr == nil, ferr)
 			}
 		}
+		bytes := fs.Bytes()
+		if bytes == 0 && ferr == nil {
+			bytes = pulled
+		}
 		sp.SetRows(rows)
-		sp.SetBytes(fs.Bytes())
+		sp.SetBytes(bytes)
 		sp.SetRetries(fs.Retries())
 		sp.End(ferr)
-		sources.Observe(src.name, src.kind, time.Since(start), rows, fs.Bytes(), fs.Retries(), ferr)
+		sources.Observe(src.name, src.kind, time.Since(start), rows, bytes, fs.Retries(), ferr)
 	}
 
 	scn, err := src.scan.ExtentScanner(cctx, sc.Parts())
@@ -223,6 +230,8 @@ func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int)
 
 	// Spill probe: read up to buf+1 rows. Exhausting the scanner within
 	// buf rows means the extent is small enough to materialise.
+	// The probe grows by append: a small extent is cached as this very
+	// slice, which must not pin a buffer-sized backing array.
 	var probe []iql.Value
 	for len(probe) <= buf {
 		if !scn.Next(cctx) {
@@ -243,78 +252,106 @@ func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int)
 			v := iql.BagOf(probe)
 			p.noteGood(ck, v)
 			p.srcExt.Put(ck, v, v.Footprint(), []string{key})
-			finished = true
-			if br != nil {
-				br.record(true, nil)
-			}
-			bytes := fs.Bytes()
-			if bytes == 0 {
-				// Mirror source.fetch's fallback when the wrapper
-				// reported no wire bytes.
-				bytes = v.Footprint()
-			}
-			rows := int64(len(probe))
-			sp.SetRows(rows)
-			sp.SetBytes(bytes)
-			sp.SetRetries(fs.Retries())
-			sp.End(nil)
-			sources.Observe(src.name, src.kind, time.Since(start), rows, bytes, fs.Retries(), nil)
+			finish(nil, int64(len(probe)), v.Footprint(), false)
 			return nil, false
 		}
 		probe = append(probe, scn.Row())
 	}
 
+	rows, slots := streamBatching(buf)
 	st := &sourceStream{
-		prefix: probe,
-		ch:     make(chan iql.Value, buf),
-		done:   make(chan struct{}),
-		cancel: cancel,
-		scn:    scn,
-		reqCtx: s.ctx,
-		finish: finish,
+		batch:     probe,
+		batchRows: rows,
+		ch:        make(chan []iql.Value, slots),
+		free:      make(chan []iql.Value, slots+2),
+		done:      make(chan struct{}),
+		pulled:    iql.BagOf(probe).Footprint(),
+		cancel:    cancel,
+		scn:       scn,
+		reqCtx:    s.ctx,
+		finish:    finish,
 	}
 	go st.pump(cctx)
 	return st, true
 }
 
-// sourceStream is the iql.RowStream the evaluator consumes: the spill
-// probe's rows first, then rows pumped from the scanner through a
-// bounded channel by a prefetch goroutine. At most prefix+channel
-// capacity rows are resident at once.
-type sourceStream struct {
-	prefix []iql.Value
-	i      int
-	ch     chan iql.Value
-	cur    iql.Value
+// streamBatches is how many batches the pump's prefetch window is cut
+// into. The pump hands rows to the evaluator a batch at a time, so the
+// channel hand-off costs one send per batch instead of one per row,
+// while the window stays at the scan buffer's row count.
+const streamBatches = 16
 
-	// ferr is the pump's terminal error; it is written before ch is
-	// closed, and the consumer reads it only after observing the close,
-	// so the channel provides the happens-before edge.
-	ferr error
-	done chan struct{}
+// streamBatching derives the pump's batch size from the scan buffer,
+// and the channel capacity in batches that keeps the pump's window (a
+// full channel plus the batch the pump is filling) within buf rows.
+func streamBatching(buf int) (rows, slots int) {
+	rows = max(buf/streamBatches, 1)
+	return rows, buf/rows - 1
+}
+
+// sourceStream is the iql.RowStream the evaluator consumes: the spill
+// probe's rows first, then batches of rows pumped from the scanner
+// through a bounded channel by a prefetch goroutine.
+//
+// Residency: rows pulled from the scanner but not yet returned by Next
+// number at most 2*buf+1 — the probe's buf+1 rows plus the pump's
+// window of buf rows (slots full batches in the channel and the one it
+// is filling). Once the probe is consumed, the bound is buf plus the
+// unread rest of the batch Next is walking. Next zeroes each slot as it
+// reads it, so consumed rows are never pinned by the stream, and spent
+// batches return to the pump through the free list: the steady state
+// allocates no batches.
+type sourceStream struct {
+	// batch is the rows Next is walking (the probe first, then pumped
+	// batches); i indexes the next unread row. Pumped batches have
+	// capacity batchRows, which the probe's buf+1 always exceeds.
+	batch     []iql.Value
+	i         int
+	batchRows int
+	ch        chan []iql.Value
+	// free returns spent batches to the pump. It has room for every
+	// batch that can exist (slots queued, one being filled, one being
+	// read), so recycling never drops one.
+	free chan []iql.Value
+	cur  iql.Value
+
+	// ferr is the pump's terminal error and pulled the footprint of
+	// every row it read (the probe's included); both are written before
+	// ch and done are closed, and the consumer reads them only after
+	// observing a close, so the channels provide the happens-before
+	// edge.
+	ferr   error
+	pulled int64
+	done   chan struct{}
 
 	cancel context.CancelFunc
 	scn    wrapper.Scanner
 	reqCtx context.Context
-	finish func(ferr error, rows int64, aborted bool)
+	finish func(ferr error, rows, pulled int64, aborted bool)
 
 	rows   int64
 	err    error
 	closed bool
 }
 
-// pump feeds the scanner's rows into the bounded channel until the
-// scanner ends or the stream is cancelled.
+// pump feeds the scanner's rows, a batch at a time, into the bounded
+// channel until the scanner ends or the stream is cancelled. A partial
+// last batch is delivered before the scanner's verdict, so the
+// evaluator sees the same row sequence as a row-at-a-time hand-off.
 func (st *sourceStream) pump(ctx context.Context) {
 	var ferr error
-loop:
+	b := st.newBatch()
 	for st.scn.Next(ctx) {
-		select {
-		case st.ch <- st.scn.Row():
-		case <-ctx.Done():
-			ferr = ctx.Err()
-			break loop
+		b = append(b, st.scn.Row())
+		if len(b) == cap(b) {
+			if ferr = st.send(ctx, b); ferr != nil {
+				break
+			}
+			b = st.newBatch()
 		}
+	}
+	if ferr == nil && len(b) > 0 {
+		ferr = st.send(ctx, b)
 	}
 	if ferr == nil {
 		ferr = st.scn.Err()
@@ -324,22 +361,54 @@ loop:
 	close(st.done)
 }
 
+// newBatch takes an empty batch from the free list, or allocates one
+// while the pipeline is still filling.
+func (st *sourceStream) newBatch() []iql.Value {
+	select {
+	case b := <-st.free:
+		return b
+	default:
+		return make([]iql.Value, 0, st.batchRows)
+	}
+}
+
+// send hands one batch to the consumer, accounting its footprint.
+func (st *sourceStream) send(ctx context.Context, b []iql.Value) error {
+	for _, v := range b {
+		st.pulled += v.Footprint()
+	}
+	select {
+	case st.ch <- b:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
+}
+
 func (st *sourceStream) Next() bool {
 	if st.closed || st.err != nil {
 		return false
 	}
-	if st.i < len(st.prefix) {
-		st.cur = st.prefix[st.i]
-		st.i++
-		st.rows++
-		return true
+	for st.i >= len(st.batch) {
+		// The current batch is spent (and zeroed): recycle a pumped
+		// one, and let the probe go as soon as it is consumed.
+		if cap(st.batch) == st.batchRows {
+			select {
+			case st.free <- st.batch[:0]:
+			default:
+			}
+		}
+		st.batch, st.i = nil, 0
+		b, ok := <-st.ch
+		if !ok {
+			st.terminate(st.ferr)
+			return false
+		}
+		st.batch = b
 	}
-	v, ok := <-st.ch
-	if !ok {
-		st.terminate(st.ferr)
-		return false
-	}
-	st.cur = v
+	st.cur = st.batch[st.i]
+	st.batch[st.i] = iql.Value{}
+	st.i++
 	st.rows++
 	return true
 }
@@ -355,8 +424,7 @@ func (st *sourceStream) terminate(ferr error) {
 	st.cancel()
 	st.scn.Close()
 	aborted := ferr != nil && st.reqCtx != nil && st.reqCtx.Err() != nil
-	st.finish(ferr, st.rows, aborted)
-	st.prefix = nil
+	st.finish(ferr, st.rows, st.pulled, aborted)
 }
 
 // Close releases the stream at any point; it is idempotent and safe
@@ -373,7 +441,7 @@ func (st *sourceStream) Close() error {
 	st.cancel()
 	<-st.done
 	st.scn.Close()
-	st.finish(nil, st.rows, true)
-	st.prefix = nil
+	st.finish(nil, st.rows, st.pulled, true)
+	st.batch = nil
 	return nil
 }

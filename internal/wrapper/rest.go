@@ -434,7 +434,9 @@ func (s *restScanner) Next(ctx context.Context) bool {
 }
 
 // fetchNext fetches the next page of the chain and projects its
-// records, replacing the buffer.
+// records, refilling the buffer in place: the previous page's rows are
+// cleared first, so the one page buffer a scan reuses never pins rows
+// the caller has moved past.
 func (s *restScanner) fetchNext(ctx context.Context) error {
 	if s.pages >= restMaxPages {
 		return fmt.Errorf("wrapper: rest: source %q: fetching %s: GET %s: pagination exceeds %d pages",
@@ -451,7 +453,8 @@ func (s *restScanner) fetchNext(ctx context.Context) error {
 	}
 	s.prev, s.next, s.detail = url, next, next
 	s.pages++
-	items := make([]iql.Value, 0, len(rows))
+	clear(s.buf)
+	items := s.buf[:0]
 	for _, r := range rows {
 		item, ok, err := rowItem(s.sc, s.c, r, s.rec)
 		if err != nil {

@@ -309,13 +309,16 @@ func (s *sqlScanner) Next(ctx context.Context) bool {
 	return true
 }
 
-// fetchPage runs one LIMIT/OFFSET round trip, replacing the buffer.
+// fetchPage runs one LIMIT/OFFSET round trip, refilling the buffer in
+// place: the previous page's rows are cleared first, so the one page
+// buffer a scan reuses never pins rows the caller has moved past.
 func (s *sqlScanner) fetchPage(ctx context.Context) error {
 	stmt := fmt.Sprintf("%s LIMIT %d OFFSET %d", s.stmt, s.pageRows, s.offset)
 	ctx, cancel := context.WithTimeout(ctx, s.w.cfg.Timeout)
 	defer cancel()
 	sp, ctx := obs.StartSpan(ctx, "sql", stmt)
-	items, scanned, err := s.w.selectItems(ctx, stmt, s.sc)
+	clear(s.buf)
+	items, scanned, err := s.w.selectItems(ctx, stmt, s.sc, s.buf[:0])
 	sp.End(err)
 	if err != nil {
 		return err
@@ -372,17 +375,17 @@ func (w *SQL) fetch(ctx context.Context, sc hdm.Scheme) (iql.Value, error) {
 
 // query runs one extent SELECT and scans its rows.
 func (w *SQL) query(ctx context.Context, stmt string, sc hdm.Scheme) (iql.Value, error) {
-	items, _, err := w.selectItems(ctx, stmt, sc)
+	items, _, err := w.selectItems(ctx, stmt, sc, nil)
 	if err != nil {
 		return iql.Value{}, err
 	}
 	return iql.BagOf(items), nil
 }
 
-// selectItems runs one SELECT and maps its rows onto extent items
-// through sqlRow; scanned is the raw row count before NULL skipping,
-// which paged fetches use to detect the final page.
-func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme) (items []iql.Value, scanned int, err error) {
+// selectItems runs one SELECT and appends its rows, mapped onto extent
+// items through sqlRow, to items; scanned is the raw row count before
+// NULL skipping, which paged fetches use to detect the final page.
+func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme, items []iql.Value) (_ []iql.Value, scanned int, err error) {
 	rows, err := w.db.QueryContext(ctx, stmt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("wrapper: sql: source %q: fetching %s: %w", w.name, sc, err)
