@@ -99,6 +99,32 @@ func BenchmarkTable1Parallel(b *testing.B) {
 	}
 }
 
+// BenchmarkAnswerRender isolates the render stage of a /query answer:
+// for each Table 1 query, a precomputed answer is written as canonical
+// JSON (bags in canonical order) and as IQL text into a reused buffer.
+func BenchmarkAnswerRender(b *testing.B) {
+	ig := benchIntegrator(b)
+	for _, q := range ispider.Table1Queries() {
+		res, err := ig.Query(q.IQL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf []byte
+		b.Run(q.ID+"/json", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if buf, err = iql.AppendJSON(buf[:0], res.Value); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(q.ID+"/text", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				buf = res.Value.AppendText(buf[:0])
+			}
+		})
+	}
+}
+
 // BenchmarkTable1Q1Cold re-answers Q1 with cold extent caches every
 // iteration: the full GAV unfolding cost.
 func BenchmarkTable1Q1Cold(b *testing.B) {

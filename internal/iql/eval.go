@@ -70,9 +70,9 @@ func (e *Env) Lookup(name string) (Value, bool) {
 }
 
 // resetBindings drops the scope's bindings but keeps their storage, so
-// the evaluator can reuse one child scope across all iterations of a
-// generator instead of allocating a scope (and its bindings) per
-// element.
+// the evaluator can reuse one scope across all iterations of a
+// generator, and every entry into it (see compCtx.scope), instead of
+// allocating a scope (and its bindings) per element.
 func (e *Env) resetBindings() {
 	e.names = e.names[:0]
 	e.vals = e.vals[:0]

@@ -25,8 +25,8 @@ import (
 // are joinable) depends only on the AST, so it is computed once per
 // *Comp node and cached on the Evaluator; nested comprehensions
 // re-entered once per enclosing binding reuse their compCtx — including
-// its qualifier-state slice and probe scratch buffer — instead of
-// re-analysing and re-allocating every time.
+// its qualifier-state slice, generator scopes and probe scratch buffer
+// — instead of re-analysing and re-allocating every time.
 type compCtx struct {
 	ev   *Evaluator
 	comp *Comp
@@ -65,6 +65,10 @@ type qualState struct {
 	srcSet bool
 	srcVal Value // memoised source value (valid when srcSet)
 	index  *ValueIndex
+
+	// scope is the generator's child scope, reused every time the
+	// generator is entered (see scope).
+	scope Env
 }
 
 // joinCond pairs the tuple component of the generator-bound variable
@@ -350,6 +354,21 @@ func (ctx *compCtx) probeKey(i int, env *Env) (Value, error) {
 	return Value{Kind: KindTuple, Items: scratch}, nil
 }
 
+// scope returns generator i's reusable child scope, re-parented to env
+// (runElement resets its bindings per element). A generator is entered
+// once per binding of the qualifiers before it, so a fresh scope per
+// entry would cost an allocation (plus its binding storage) per outer
+// element. Reuse is safe because a compCtx is never re-entered while
+// active, generator i is entered only from an earlier generator's scope
+// or the comprehension's env (never from its own), and nothing retains
+// a scope once run returns: IQL has no closures. Sharded workers own
+// their compCtx, so their scopes are private.
+func (ctx *compCtx) scope(i int, env *Env) *Env {
+	s := &ctx.quals[i].scope
+	s.parent = env
+	return s
+}
+
 // outPrealloc caps how far a generator source's length is trusted as a
 // size hint for the output slice.
 const outPrealloc = 1024
@@ -384,7 +403,7 @@ func (ctx *compCtx) run(i int, env *Env, out *[]Value) error {
 		if rs, ok, err := ctx.stream(i, q); err != nil {
 			return err
 		} else if ok {
-			return ctx.runStream(q, rs, i+1, env, out)
+			return ctx.runStream(q, rs, i, env, out)
 		}
 		els, err := ctx.source(i, q, env)
 		if err != nil {
@@ -425,10 +444,9 @@ func (ctx *compCtx) run(i int, env *Env, out *[]Value) error {
 			}
 			*out = make([]Value, 0, hint)
 		}
-		// One child scope serves every iteration: bindings are reset per
-		// element, and nothing retains the scope once run returns (IQL
-		// has no closures), so per-element scope allocation is avoided.
-		child := env.Child()
+		// One child scope serves every iteration (bindings are reset
+		// per element) and every entry into this generator.
+		child := ctx.scope(i, env)
 		ev.genDepth++
 		if joined {
 			if err := ctx.runElement(q, joinedFirst, next, child, out); err != nil {
@@ -488,18 +506,18 @@ func (ctx *compCtx) stream(i int, g *Generator) (RowStream, bool, error) {
 // are byte-identical; only the residency differs. Sharding never
 // applies (the row count is unknown up front), and the stream is
 // always closed, including on early error returns.
-func (ctx *compCtx) runStream(q *Generator, rs RowStream, next int, env *Env, out *[]Value) (err error) {
+func (ctx *compCtx) runStream(q *Generator, rs RowStream, i int, env *Env, out *[]Value) (err error) {
 	defer func() {
 		if cerr := rs.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 	}()
 	ev := ctx.ev
-	child := env.Child()
+	child := ctx.scope(i, env)
 	ev.genDepth++
 	defer func() { ev.genDepth-- }()
 	for rs.Next() {
-		if err := ctx.runElement(q, rs.Row(), next, child, out); err != nil {
+		if err := ctx.runElement(q, rs.Row(), i+1, child, out); err != nil {
 			return err
 		}
 	}

@@ -13,9 +13,6 @@ package iql
 
 import (
 	"fmt"
-	"math"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -165,67 +162,7 @@ func (v Value) Len() int {
 // Equal iff their keys are identical. Bags are canonicalised by sorting
 // element keys, so bags compare as multisets.
 func (v Value) Key() string {
-	var b strings.Builder
-	v.writeKey(&b)
-	return b.String()
-}
-
-func (v Value) writeKey(b *strings.Builder) {
-	switch v.Kind {
-	case KindNull:
-		b.WriteString("N")
-	case KindBool:
-		if v.B {
-			b.WriteString("b1")
-		} else {
-			b.WriteString("b0")
-		}
-	case KindInt:
-		b.WriteString("i")
-		b.WriteString(strconv.FormatInt(v.I, 10))
-	case KindFloat:
-		// Integral floats compare equal to ints of the same value so
-		// that numeric joins behave as users expect.
-		if v.F == math.Trunc(v.F) && !math.IsInf(v.F, 0) && math.Abs(v.F) < 1e15 {
-			b.WriteString("i")
-			b.WriteString(strconv.FormatInt(int64(v.F), 10))
-			return
-		}
-		b.WriteString("f")
-		b.WriteString(strconv.FormatFloat(v.F, 'g', -1, 64))
-	case KindString:
-		b.WriteString("s")
-		b.WriteString(strconv.Itoa(len(v.S)))
-		b.WriteString(":")
-		b.WriteString(v.S)
-	case KindTuple:
-		b.WriteString("t(")
-		for i, it := range v.Items {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			it.writeKey(b)
-		}
-		b.WriteString(")")
-	case KindBag:
-		keys := make([]string, len(v.Items))
-		for i, it := range v.Items {
-			keys[i] = it.Key()
-		}
-		sort.Strings(keys)
-		b.WriteString("B[")
-		for i, k := range keys {
-			if i > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString(k)
-		}
-		b.WriteString("]")
-	case KindVoid:
-		b.WriteString("V")
-	case KindAny:
-		b.WriteString("A")
-	}
+	return string(v.appendKey(nil))
 }
 
 // Equal reports whether two values are equal; bags compare as multisets,
@@ -351,87 +288,25 @@ func Distinct(v Value) (Value, error) {
 }
 
 // SortBag returns a bag with elements in canonical key order, for
-// deterministic display. Each element's key is computed exactly once
-// (decorate-sort-undecorate); the comparator never rebuilds keys, so a
-// sort costs O(n) key constructions instead of O(n log n). The sort is
-// stable, so elements whose keys tie (e.g. 5 and 5.0) keep their bag
-// order.
+// deterministic display. Each element's key is computed exactly once,
+// into one shared arena (see canonicalOrder), and the order is that of
+// a stable sort by key: elements whose keys tie (e.g. 5 and 5.0) keep
+// their bag order.
 func SortBag(v Value) (Value, error) {
 	els, err := v.Elements()
 	if err != nil {
 		return Value{}, err
 	}
-	type decorated struct {
-		key string
-		val Value
-	}
-	dec := make([]decorated, len(els))
-	for i, e := range els {
-		dec[i] = decorated{key: e.Key(), val: e}
-	}
-	sort.SliceStable(dec, func(i, j int) bool { return dec[i].key < dec[j].key })
 	out := make([]Value, len(els))
-	for i, d := range dec {
-		out[i] = d.val
+	for n, i := range canonicalOrder(els).idx {
+		out[n] = els[i]
 	}
 	return BagOf(out), nil
 }
 
-// stringEscaper escapes backslashes and quotes in string literals so
-// that rendering is injective and re-parseable.
-var stringEscaper = strings.NewReplacer(`\`, `\\`, `'`, `\'`)
-
 // String renders the value in IQL source syntax (strings single-quoted,
 // tuples braced, bags bracketed).
 func (v Value) String() string {
-	var b strings.Builder
-	v.write(&b)
-	return b.String()
-}
-
-func (v Value) write(b *strings.Builder) {
-	switch v.Kind {
-	case KindNull:
-		b.WriteString("null")
-	case KindBool:
-		if v.B {
-			b.WriteString("True")
-		} else {
-			b.WriteString("False")
-		}
-	case KindInt:
-		b.WriteString(strconv.FormatInt(v.I, 10))
-	case KindFloat:
-		s := strconv.FormatFloat(v.F, 'g', -1, 64)
-		b.WriteString(s)
-		if !strings.ContainsAny(s, ".eE") {
-			b.WriteString(".0")
-		}
-	case KindString:
-		b.WriteByte('\'')
-		b.WriteString(stringEscaper.Replace(v.S))
-		b.WriteByte('\'')
-	case KindTuple:
-		b.WriteByte('{')
-		for i, it := range v.Items {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			it.write(b)
-		}
-		b.WriteByte('}')
-	case KindBag:
-		b.WriteByte('[')
-		for i, it := range v.Items {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			it.write(b)
-		}
-		b.WriteByte(']')
-	case KindVoid:
-		b.WriteString("Void")
-	case KindAny:
-		b.WriteString("Any")
-	}
+	// About 32 bytes per element spares most growth copies.
+	return string(v.AppendText(make([]byte, 0, 16+32*len(v.Items))))
 }

@@ -6,9 +6,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -49,27 +51,41 @@ func requestID(r *http.Request) string {
 // respBufPool recycles response-encoding buffers across requests.
 var respBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
+// scratchPool recycles the byte slices answers and /query responses are
+// appended into.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	// Encode before committing the status so an unencodable value
-	// (e.g. a NaN float loaded from source data) becomes a 500, not a
-	// 200 with a truncated body.
+	// becomes a 500, not a 200 with a truncated body.
 	buf := respBufPool.Get().(*bytes.Buffer)
 	buf.Reset()
 	defer respBufPool.Put(buf)
-	enc := json.NewEncoder(buf)
-	enc.SetEscapeHTML(false)
-	if err := enc.Encode(v); err != nil {
+	if err := encodeJSON(buf, v); err != nil {
 		if _, isErr := v.(apiError); !isErr {
 			writeJSON(w, http.StatusInternalServerError,
-				apiError{Error: fmt.Sprintf("server: encoding response: %v", err)})
+				apiError{Error: encodeError{err}.Error()})
 			return
 		}
 		http.Error(w, `{"error":"server: encoding response failed"}`, http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// encodeJSON writes v and a newline to buf without HTML escaping (IQL
+// scheme references are written <<...>>).
+func encodeJSON(buf *bytes.Buffer, v any) error {
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false)
+	return enc.Encode(v)
+}
+
+// writeBody commits the status and an encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 func writeErr(w http.ResponseWriter, r *http.Request, status int, err error) {
@@ -115,6 +131,8 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, r *http.Reque
 // errStatus maps workflow errors onto HTTP statuses.
 func errStatus(err error) int {
 	switch {
+	case errors.As(err, new(encodeError)):
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
 	case errors.Is(err, context.Canceled):
@@ -138,49 +156,6 @@ func decode(r *http.Request, v any) error {
 		return fmt.Errorf("server: invalid request body: %w", err)
 	}
 	return nil
-}
-
-// ---- Value rendering ----
-
-// valueJSON converts an IQL value into a JSON-encodable shape: scalars
-// map to JSON scalars, tuples to {"tuple": [...]}, bags to
-// {"bag": [...]} with elements in canonical order (bags are multisets,
-// so a deterministic order is free to choose and keeps responses
-// stable), Void/Any to {"const": ...}.
-func valueJSON(v iql.Value) any {
-	switch v.Kind {
-	case iql.KindNull:
-		return nil
-	case iql.KindBool:
-		return v.B
-	case iql.KindInt:
-		return v.I
-	case iql.KindFloat:
-		return v.F
-	case iql.KindString:
-		return v.S
-	case iql.KindTuple:
-		items := make([]any, len(v.Items))
-		for i, it := range v.Items {
-			items[i] = valueJSON(it)
-		}
-		return map[string]any{"tuple": items}
-	case iql.KindBag:
-		sorted, err := iql.SortBag(v)
-		if err != nil {
-			sorted = v
-		}
-		items := make([]any, len(sorted.Items))
-		for i, it := range sorted.Items {
-			items[i] = valueJSON(it)
-		}
-		return map[string]any{"bag": items}
-	case iql.KindVoid:
-		return map[string]any{"const": "Void"}
-	case iql.KindAny:
-		return map[string]any{"const": "Any"}
-	}
-	return v.String()
 }
 
 // ---- POST /sources ----
@@ -704,24 +679,83 @@ type queryReq struct {
 	RequireFresh bool `json:"require_fresh,omitempty"`
 }
 
+// queryResp is a /query answer. It is encoded by appendJSON, field by
+// field in the order below, so the cached JSON of the value is spliced
+// in without being parsed again; "warnings", "degraded", "explain" and
+// "trace" are omitted when empty.
 type queryResp struct {
-	Session      string   `json:"session"`
-	Value        any      `json:"value"`
-	Rendered     string   `json:"rendered"`
-	Warnings     []string `json:"warnings,omitempty"`
-	Version      int      `json:"version"`
-	Schema       string   `json:"schema"`
-	PlanCached   bool     `json:"plan_cached"`
-	ResultCached bool     `json:"result_cached"`
+	Session string
+	// Value is the answer's canonical JSON (Answer.JSONValue).
+	Value        []byte
+	Rendered     string
+	Warnings     []string
+	Version      int
+	Schema       string
+	PlanCached   bool
+	ResultCached bool
 	// Degraded marks an answer evaluated over stale fallback extents
 	// because one or more sources were unreachable; the matching
 	// warnings name the sources.
-	Degraded  bool              `json:"degraded,omitempty"`
-	ElapsedUs int64             `json:"elapsed_us"`
-	Explain   map[string]string `json:"explain,omitempty"`
+	Degraded  bool
+	ElapsedUs int64
+	Explain   map[string]string
 	// Trace is the per-stage span tree, present when the request set
 	// the X-Automed-Trace: 1 header.
-	Trace *obs.TraceJSON `json:"trace,omitempty"`
+	Trace *obs.TraceJSON
+}
+
+// appendJSON appends the response as one JSON object and a newline.
+func (q *queryResp) appendJSON(b []byte) ([]byte, error) {
+	b = append(b, `{"session":`...)
+	b = iql.AppendJSONString(b, q.Session)
+	b = append(b, `,"value":`...)
+	b = append(b, q.Value...)
+	b = append(b, `,"rendered":`...)
+	b = iql.AppendJSONString(b, q.Rendered)
+	if len(q.Warnings) > 0 {
+		b = append(b, `,"warnings":[`...)
+		for i, w := range q.Warnings {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = iql.AppendJSONString(b, w)
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"version":`...)
+	b = strconv.AppendInt(b, int64(q.Version), 10)
+	b = append(b, `,"schema":`...)
+	b = iql.AppendJSONString(b, q.Schema)
+	b = append(b, `,"plan_cached":`...)
+	b = strconv.AppendBool(b, q.PlanCached)
+	b = append(b, `,"result_cached":`...)
+	b = strconv.AppendBool(b, q.ResultCached)
+	if q.Degraded {
+		b = append(b, `,"degraded":true`...)
+	}
+	b = append(b, `,"elapsed_us":`...)
+	b = strconv.AppendInt(b, q.ElapsedUs, 10)
+	if len(q.Explain) > 0 {
+		b = append(b, `,"explain":{`...)
+		for i, k := range slices.Sorted(maps.Keys(q.Explain)) {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = iql.AppendJSONString(b, k)
+			b = append(b, ':')
+			b = iql.AppendJSONString(b, q.Explain[k])
+		}
+		b = append(b, '}')
+	}
+	if q.Trace != nil {
+		var buf bytes.Buffer
+		if err := encodeJSON(&buf, q.Trace); err != nil {
+			return b, err
+		}
+		b = append(b, `,"trace":`...)
+		b = append(b, bytes.TrimSuffix(buf.Bytes(), []byte("\n"))...)
+	}
+	return append(b, "}\n"...), nil
 }
 
 // traceRequested reports whether the client asked for an inline trace.
@@ -837,7 +871,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if req.Explain {
 		resp.Explain = s.explain(sess, req.Query, res.Version)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	buf := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(buf)
+	body, err := resp.appendJSON((*buf)[:0])
+	*buf = body
+	if err != nil {
+		writeErr(w, r, http.StatusInternalServerError, encodeError{err})
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // explain renders the derivation tree (provenance) of every schema

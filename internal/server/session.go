@@ -312,17 +312,38 @@ type QueryOutcome struct {
 // sorting included) as well as the re-evaluation.
 type Answer struct {
 	core.Result
-	// JSONValue is the JSON-encodable shape of Result.Value.
-	JSONValue any
+	// JSONValue is Result.Value's canonical JSON encoding (see
+	// iql.AppendJSON), spliced into /query responses as is.
+	JSONValue []byte
 	// Rendered is Result.Value in IQL source syntax.
 	Rendered string
 }
 
-// render fills the answer's response renderings from its result.
-func (a *Answer) render() {
-	a.JSONValue = valueJSON(a.Value)
-	a.Rendered = a.Value.String()
+// render fills the answer's response renderings from its result, each
+// written into pooled scratch and copied out at its exact size. A value
+// JSON cannot represent (a NaN or infinite float) is an encodeError.
+func (a *Answer) render() error {
+	buf := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(buf)
+	b, err := iql.AppendJSON((*buf)[:0], a.Value)
+	if err != nil {
+		*buf = b
+		return encodeError{err}
+	}
+	a.JSONValue = append([]byte(nil), b...)
+	b = a.Value.AppendText(b[:0])
+	a.Rendered = string(b)
+	*buf = b
+	return nil
 }
+
+// encodeError is a response that cannot be encoded as JSON; it is
+// answered with 500.
+type encodeError struct{ err error }
+
+func (e encodeError) Error() string { return "server: encoding response: " + e.err.Error() }
+
+func (e encodeError) Unwrap() error { return e.err }
 
 // Query answers an IQL query against the requested schema version
 // (core.CurrentVersion for the latest), consulting the plan cache and
@@ -383,8 +404,11 @@ func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src strin
 	}
 	ans := Answer{Result: res}
 	rsp, _ := obs.StartSpan(ctx, obs.StageRender, "")
-	ans.render()
-	rsp.End(nil)
+	err = ans.render()
+	rsp.End(err)
+	if err != nil {
+		return Answer{}, out, err
+	}
 	if !noCache && res.Version == ver {
 		// res.Version can differ from ver only if an iteration raced
 		// between GlobalVersion and evaluation; skip caching then
@@ -395,11 +419,11 @@ func (s *Session) Query(ctx context.Context, plans *cache.Store[plan], src strin
 }
 
 // resultCost estimates a cached answer's in-memory size for the result
-// cache's byte budget (the JSON shape is of the same order as the
-// rendering, counted twice to stay conservative).
+// cache's byte budget: the value, both renderings at their actual
+// sizes, and the metadata.
 func resultCost(a Answer) int64 {
 	n := a.Value.Footprint() + int64(len(a.Schema)) + 64
-	n += 2 * int64(len(a.Rendered))
+	n += int64(len(a.JSONValue) + len(a.Rendered))
 	for _, w := range a.Warnings {
 		n += int64(len(w)) + 16
 	}
