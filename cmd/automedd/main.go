@@ -124,7 +124,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		planCache   = flag.Int("plan-cache", 512, "max cached parsed IQL plans (0 disables)")
 		resultCache = flag.Int("result-cache", 4096, "max cached query results per session (0 disables)")
-		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "byte budget per cache layer per session: results, extent memo, source extents (0 = unbounded)")
+		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "byte budget per cache layer per session: results, extent memo, source extents, last-good fallback extents (0 = unbounded)")
 		timeout     = flag.Duration("query-timeout", 30*time.Second, "default per-query evaluation deadline (0 = none)")
 		maxSteps    = flag.Int("max-steps", 0, "IQL evaluation step bound per query (0 = unlimited)")
 		evalPar     = flag.Int("eval-parallelism", 0, "worker count for data-parallel sharded comprehension evaluation (0 = GOMAXPROCS, 1 = serial)")

@@ -167,18 +167,12 @@ func (b *breaker) allow() (proceed, probe bool) {
 	}
 }
 
-// probeAllow admits a fetch only when the breaker needs probing: open
-// with the interval elapsed, or half-open with no probe in flight.
-// Closed breakers are left alone.
-func (b *breaker) probeAllow() bool {
+// closed reports whether the breaker is closed: a healthy source that
+// probe runs leave alone.
+func (b *breaker) closed() bool {
 	b.mu.Lock()
-	closed := b.state == breakerClosed
-	b.mu.Unlock()
-	if closed {
-		return false
-	}
-	proceed, _ := b.allow()
-	return proceed
+	defer b.mu.Unlock()
+	return b.state == breakerClosed
 }
 
 // record folds one fetch outcome into the breaker. A success closes a

@@ -11,6 +11,7 @@ import (
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
+	"github.com/dataspace/automed/internal/wrapper"
 )
 
 // flakySource is a controllable Sourcer: failures are toggled at will,
@@ -55,22 +56,23 @@ func (f *flakySource) callCount() int {
 }
 
 func (f *flakySource) Extent(parts []string) (iql.Value, error) {
-	return f.ExtentContext(context.Background(), parts)
+	return wrapper.Drain(context.Background(), f, parts)
 }
 
-func (f *flakySource) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
+// ExtentScanner counts one call per read and fails or hangs at open.
+func (f *flakySource) ExtentScanner(ctx context.Context, parts []string) (wrapper.Scanner, error) {
 	f.mu.Lock()
 	f.calls++
 	failing, hanging := f.failing, f.hanging
 	f.mu.Unlock()
 	if hanging {
 		<-ctx.Done()
-		return iql.Value{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 	if failing {
-		return iql.Value{}, fmt.Errorf("flaky: source %s is down", f.name)
+		return nil, fmt.Errorf("flaky: source %s is down", f.name)
 	}
-	return f.val, nil
+	return wrapper.NewSliceScanner(f.val.Items), nil
 }
 
 func (f *flakySource) FallbackExtent(parts []string) (iql.Value, bool) {

@@ -23,9 +23,13 @@ import (
 // with the evaluation that needs it (and with concurrent queries)
 // instead of duplicating wrapper work.
 //
-// Prefetch is advisory: errors are swallowed (the serial evaluation
-// path re-fetches and surfaces them with full context), the walk is
-// bounded, and cancellation of the request context stops scheduling.
+// Each fetch is an ordinary source read (read.go), so prefetch obeys
+// the source's circuit breaker and per-source deadline and keeps the
+// last-good copy like any other read. Prefetch is advisory: errors are
+// swallowed (the serial evaluation path re-reads and surfaces them
+// with full context, degrading to stale extents where breakers allow),
+// the walk is bounded, and cancellation of the request context stops
+// scheduling.
 
 const (
 	// DefaultPrefetchWorkers bounds concurrent wrapper fetches per
@@ -37,10 +41,6 @@ const (
 	DefaultPrefetchMaxTasks = 64
 	// prefetchMaxDepth bounds the virtual-definition expansion depth.
 	prefetchMaxDepth = 4
-	// specDivisor caps speculative warming (if-branch arms, which may
-	// never be evaluated) to this fraction of the task budget, so cold
-	// branches cannot crowd out extents the query will certainly scan.
-	specDivisor = 4
 )
 
 // prefetchWorkerCount resolves the effective prefetch pool width.
@@ -69,65 +69,22 @@ type prefetchTask struct {
 // cached source extents the expression will enumerate, fetching them
 // concurrently. It blocks until the scheduled fetches finish (so the
 // following serial evaluation hits the cache) and is a no-op when
-// fewer than two extents need fetching. Speculative tasks — extents
-// referenced only inside if-branch arms, which evaluation may never
-// reach — are scheduled on the same pool but never awaited: a cold
-// branch warms in the background without stalling the query.
+// fewer than two extents need fetching.
 func (p *Processor) prefetch(ctx context.Context, e iql.Expr, scope string) {
 	if ctx != nil && ctx.Err() != nil {
 		return
 	}
 	pf := prefetcher{p: p, taskCap: p.prefetchTaskCap()}
 	pf.visitExpr(e, scope, 0)
-	tasks, spec := pf.tasks, pf.spec
-	if len(tasks)+len(spec) < 2 {
+	tasks := pf.tasks
+	if len(tasks) < 2 {
 		return // a single fetch gains nothing from concurrency
 	}
 	// The prefetch span parents the workers' fetch spans, so traces show
 	// the parallel warm-up as one stage with overlapping children.
-	sp, sctx := obs.StartSpan(ctx, obs.StagePrefetch, "")
+	sp, ctx := obs.StartSpan(ctx, obs.StagePrefetch, "")
 	defer sp.End(nil)
-	workers := p.prefetchWorkerCount()
-	if len(tasks)+len(spec) < workers {
-		workers = len(tasks) + len(spec)
-	}
-	sem := make(chan struct{}, workers)
-	fetch := func(fctx context.Context, t prefetchTask) {
-		key := t.sc.Key()
-		ck := t.src.name + "\x00" + key
-		// Errors are not cached and not reported here: the serial
-		// evaluation re-fetches and wraps them with query context.
-		// The request context rides into context-aware (remote)
-		// wrappers so a cancelled request abandons in-flight fetches.
-		_, _, _ = p.srcExt.GetOrCompute(ck, []string{key}, func() (iql.Value, int64, error) {
-			v, err := t.src.fetch(fctx, t.sc)
-			if err != nil {
-				return iql.Value{}, 0, err
-			}
-			return v, v.Footprint(), nil
-		})
-	}
-	// Speculative branch-arm warms are detached: nothing waits for
-	// them, and they contend for pool slots with the certain tasks so
-	// the pool width stays the bound. They carry the caller's context
-	// (not the prefetch span's) because they may outlive the stage.
-	pctx := ctx
-	for _, t := range spec {
-		go func(t prefetchTask) {
-			if pctx == nil {
-				sem <- struct{}{}
-			} else {
-				select {
-				case sem <- struct{}{}:
-				case <-pctx.Done():
-					return
-				}
-			}
-			defer func() { <-sem }()
-			fetch(pctx, t)
-		}(t)
-	}
-	ctx = sctx
+	sem := make(chan struct{}, min(p.prefetchWorkerCount(), len(tasks)))
 	var wg sync.WaitGroup
 scheduling:
 	for _, t := range tasks {
@@ -146,7 +103,12 @@ scheduling:
 		go func(t prefetchTask) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			fetch(ctx, t)
+			key := t.sc.Key()
+			// Errors are not cached and not reported here: the serial
+			// evaluation re-reads and wraps them with query context.
+			_, _, _ = p.srcExt.GetOrCompute(t.src.name+"\x00"+key, []string{key}, func() (iql.Value, int64, error) {
+				return p.fetchExtent(ctx, t.src, t.sc)
+			})
 		}(t)
 	}
 	if ctx == nil {
@@ -182,11 +144,6 @@ type prefetcher struct {
 	tasks       []prefetchTask
 	seenTask    map[string]bool
 	seenVirtual map[string]bool
-	// inBranch marks the walk as inside an if-branch arm; references
-	// found there land in spec (speculative, never awaited, capped at
-	// taskCap/specDivisor) instead of tasks.
-	inBranch bool
-	spec     []prefetchTask
 	// streamPos marks the next reference visited as a comprehension's
 	// first generator source — the position the evaluator streams when
 	// the source supports it (see stream.go). Warming such an extent
@@ -211,10 +168,6 @@ func (pf *prefetcher) addSource(src source, sc hdm.Scheme, streamPos bool) {
 		pf.seenTask = make(map[string]bool, 8)
 	}
 	pf.seenTask[ck] = true
-	if pf.inBranch {
-		pf.spec = append(pf.spec, prefetchTask{src: src, sc: sc})
-		return
-	}
 	pf.tasks = append(pf.tasks, prefetchTask{src: src, sc: sc})
 }
 
@@ -225,14 +178,7 @@ func (pf *prefetcher) visitRef(parts []string, scope string, depth int) {
 	// re-marks its first generator below).
 	streamPos := pf.streamPos
 	pf.streamPos = false
-	if depth > prefetchMaxDepth {
-		return
-	}
-	if pf.inBranch {
-		if len(pf.spec) >= pf.taskCap/specDivisor {
-			return
-		}
-	} else if len(pf.tasks) >= pf.taskCap {
+	if depth > prefetchMaxDepth || len(pf.tasks) >= pf.taskCap {
 		return
 	}
 	p := pf.p
@@ -360,14 +306,8 @@ func (pf *prefetcher) visitExpr(e iql.Expr, scope string, depth int) {
 		pf.visitEnumerated(n.Val, scope, depth)
 		pf.visitExpr(n.Body, scope, depth)
 	case *iql.IfExpr:
+		// Branch arms may never be evaluated: the evaluator fetches the
+		// taken one on demand.
 		pf.visitExpr(n.Cond, scope, depth)
-		// Branch arms may never be evaluated: warm them speculatively
-		// (capped, never awaited) so a cold branch costs nothing when
-		// untaken yet is already in flight when taken.
-		saved := pf.inBranch
-		pf.inBranch = true
-		pf.visitEnumerated(n.Then, scope, depth)
-		pf.visitEnumerated(n.Else, scope, depth)
-		pf.inBranch = saved
 	}
 }

@@ -200,85 +200,6 @@ func TestPrefetchErrorsSurfaceSerially(t *testing.T) {
 	}
 }
 
-// specJoin builds a processor over a condition source plus one source
-// per if-branch arm, so tests can observe which extents the prefetch
-// pass warms speculatively.
-func specJoin(t *testing.T) (*Processor, *countingSource, *countingSource, *countingSource) {
-	t.Helper()
-	cond := newCountingSource(t, "C", map[string]iql.Value{"<<r>>": iql.Bag(iql.Int(1))}, 0)
-	then := newCountingSource(t, "T", map[string]iql.Value{"<<s>>": iql.Bag(iql.Int(2))}, 0)
-	els := newCountingSource(t, "E", map[string]iql.Value{"<<u>>": iql.Bag(iql.Int(3))}, 0)
-	p := New()
-	for _, w := range []*countingSource{cond, then, els} {
-		if err := p.AddSource(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return p, cond, then, els
-}
-
-const ifQuery = "if count(<<r>>) > 0 then [x | x <- <<s>>] else [x | x <- <<u>>]"
-
-// waitForCalls polls until the source has fetched exactly want extents
-// (speculative warms are detached, so tests must wait, not assume).
-func waitForCalls(t *testing.T, c *countingSource, want int) {
-	t.Helper()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		got := c.calls
-		c.mu.Unlock()
-		if got >= want {
-			if got > want {
-				t.Fatalf("source %s fetched %d times, want %d", c.name, got, want)
-			}
-			return
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("source %s never reached %d fetches", c.name, want)
-}
-
-// TestPrefetchSpeculativeIfBranches: extents referenced only inside
-// if-branch arms are warmed in the background — both arms, even though
-// evaluation will take only one — without being awaited, and the warm
-// cache means the taken branch never re-fetches.
-func TestPrefetchSpeculativeIfBranches(t *testing.T) {
-	p, cond, then, els := specJoin(t)
-	p.prefetch(context.Background(), iql.MustParse(ifQuery), "")
-	waitForCalls(t, cond, 1) // certain: the condition's own extent
-	waitForCalls(t, then, 1) // speculative: then arm
-	waitForCalls(t, els, 1)  // speculative: else arm
-	v, err := p.Query(ifQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 1 {
-		t.Fatalf("bad result %s", v)
-	}
-	// Everything was warmed once; the query itself hit the cache.
-	waitForCalls(t, then, 1)
-}
-
-// TestPrefetchSpeculativeCap: the speculative task list is capped at a
-// quarter of the per-query task budget at scheduling time, so cold
-// branch arms cannot crowd out certain fetches. With PrefetchMaxTasks=4
-// only one speculative slot exists: exactly one arm is warmed.
-func TestPrefetchSpeculativeCap(t *testing.T) {
-	p, cond, then, els := specJoin(t)
-	p.PrefetchMaxTasks = 4
-	p.prefetch(context.Background(), iql.MustParse(ifQuery), "")
-	waitForCalls(t, cond, 1)
-	waitForCalls(t, then, 1) // first arm fills the single speculative slot
-	time.Sleep(20 * time.Millisecond)
-	els.mu.Lock()
-	extra := els.calls
-	els.mu.Unlock()
-	if extra != 0 {
-		t.Errorf("else arm fetched %d times; speculative cap not applied", extra)
-	}
-}
-
 // TestPrefetchPoolWidthConfigurable: PrefetchWorkers bounds concurrent
 // fetches. With one worker and two slow certain tasks, the fetches
 // cannot overlap, so the prefetch pass takes at least both delays

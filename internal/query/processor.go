@@ -60,63 +60,22 @@ type Derivation struct {
 	Scope string
 }
 
-// source is one registered extent provider. extCtx is the provider's
-// context-aware fetch path, nil when it offers none; kind labels the
-// provider's wrapper flavour in metrics and traces.
+// source is one registered extent provider. ext is the provider
+// itself; scan is its scanner path, nil when it offers none (it is
+// then read through ext.Extent); fb is its stale-fallback path
+// (snapshot extents held for offline use), nil when it offers none;
+// kind labels the provider's wrapper flavour in metrics and traces;
+// streams reports whether its scans actually page from the backend (a
+// materialised-scan adapter sets scan but not streams, and the
+// pipeline never streams it).
 type source struct {
-	name   string
-	schema *hdm.Schema
-	ext    iql.Extents
-	extCtx ContextSourcer
-	// fb is the provider's stale-fallback path (snapshot extents held
-	// for offline use), nil when it offers none.
-	fb   FallbackSourcer
-	kind string
-	// scan is the provider's pull-based row-scanner path, nil when it
-	// offers none; streams reports whether its scans actually page from
-	// the backend (a materialised-scan adapter sets scan but not
-	// streams, and the pipeline never streams it).
+	name    string
+	schema  *hdm.Schema
+	ext     iql.Extents
 	scan    ScanSourcer
+	fb      FallbackSourcer
+	kind    string
 	streams bool
-}
-
-// fetch retrieves one extent, routing through the provider's
-// context-aware path when it has one so remote backends observe
-// request cancellation; providers without one are called plainly.
-// Context-carried instrumentation (a trace span and the per-source
-// metrics registry) records the fetch; uninstrumented contexts cost a
-// few nil checks.
-func (src source) fetch(ctx context.Context, sc hdm.Scheme) (iql.Value, error) {
-	if ctx == nil {
-		return src.ext.Extent(sc.Parts())
-	}
-	sp, fctx := obs.StartSpan(ctx, obs.StageFetch, src.name)
-	sp.SetDetail(sc.Key())
-	sp.SetCache(obs.CacheMiss)
-	fctx, fs := obs.BeginFetch(fctx)
-	start := time.Now()
-	var v iql.Value
-	var err error
-	if src.extCtx != nil {
-		v, err = src.extCtx.ExtentContext(fctx, sc.Parts())
-	} else {
-		v, err = src.ext.Extent(sc.Parts())
-	}
-	elapsed := time.Since(start)
-	var rows int64
-	if err == nil && v.Kind == iql.KindBag {
-		rows = int64(len(v.Items))
-	}
-	bytes := fs.Bytes()
-	if bytes == 0 && err == nil {
-		bytes = v.Footprint()
-	}
-	sp.SetRows(rows)
-	sp.SetBytes(bytes)
-	sp.SetRetries(fs.Retries())
-	sp.End(err)
-	obs.SourcesFrom(ctx).Observe(src.name, src.kind, elapsed, rows, bytes, fs.Retries(), err)
-	return v, err
 }
 
 // cachedExtent memoises a virtual object's extent together with the
@@ -185,13 +144,13 @@ type Processor struct {
 	// SetBreaker are covered too.
 	brCfg    BreakerConfig
 	breakers map[string]*breaker
-	// lastGood retains the most recent successful fetch of every source
-	// extent for stale-extent fallback, keyed like srcExt entries. It is
-	// deliberately separate from srcExt: cache invalidation must evict
-	// cached extents (so queries refetch), but must not destroy the
-	// fallback copy a broken source will be served from.
-	lgMu     sync.Mutex
-	lastGood map[string]lastGoodEntry
+	// lastGood retains the most recent successful read of source
+	// extents for stale-extent fallback, keyed like srcExt entries and
+	// bounded by the same byte budget. It is deliberately separate from
+	// srcExt and never invalidated: cache invalidation must evict cached
+	// extents (so queries refetch), but must not destroy the fallback
+	// copy a broken source will be served from.
+	lastGood *cache.Store[lastGoodEntry]
 
 	statParallelEvals atomic.Uint64
 	statSerialEvals   atomic.Uint64
@@ -265,7 +224,7 @@ func New() *Processor {
 		joinIdx:  iql.NewJoinIndexCache(0),
 		warnings: make(map[string]bool),
 		breakers: make(map[string]*breaker),
-		lastGood: make(map[string]lastGoodEntry),
+		lastGood: cache.New[lastGoodEntry](cache.Options{}),
 	}
 }
 
@@ -304,11 +263,14 @@ type lastGoodEntry struct {
 	at  time.Time
 }
 
-// noteGood retains a successful fetch for stale-extent fallback.
-func (p *Processor) noteGood(ck string, v iql.Value) {
-	p.lgMu.Lock()
-	p.lastGood[ck] = lastGoodEntry{val: v, at: time.Now()}
-	p.lgMu.Unlock()
+// noteGood retains a successful read of cost bytes for stale-extent
+// fallback, when fallback can serve it: breakers enabled (br non-nil)
+// and fallback not disabled.
+func (p *Processor) noteGood(br *breaker, ck string, v iql.Value, cost int64) {
+	if br == nil || br.cfg.DisableFallback {
+		return
+	}
+	p.lastGood.Put(ck, lastGoodEntry{val: v, at: time.Now()}, cost, nil)
 }
 
 // SourceHealth reports every registered source's breaker state, in
@@ -340,7 +302,7 @@ func (p *Processor) SourceHealth() []SourceHealth {
 	return out
 }
 
-// ProbeOpen fetches one extent through every open (or stuck half-open)
+// ProbeOpen reads one extent through every open (or stuck half-open)
 // breaker whose probe interval has elapsed, letting recovered sources
 // close their breakers without waiting for query traffic. It returns
 // how many sources probed successfully. Healthy sources are not
@@ -359,44 +321,35 @@ func (p *Processor) ProbeOpen(ctx context.Context) int {
 			}
 		}
 	}
-	timeout := p.brCfg.SourceTimeout
 	p.mu.Unlock()
 	recovered := 0
 	for _, e := range due {
-		if !e.b.probeAllow() {
-			continue
-		}
 		sc, ok := probeScheme(e.src.schema)
-		if !ok {
-			e.b.cancelProbe()
+		if !ok || e.b.closed() {
 			continue
 		}
-		fctx, cancel := ctx, func() {}
-		if timeout > 0 {
-			fctx, cancel = context.WithTimeout(ctx, timeout)
+		r, err := p.openRead(ctx, e.src, sc, false)
+		if err != nil {
+			continue // still open: the probe interval has not elapsed
 		}
-		v, err := e.src.fetch(fctx, sc)
-		cancel()
-		if err != nil && ctx.Err() != nil {
-			// The probe run itself was cancelled; that says nothing
-			// about the source.
-			e.b.cancelProbe()
-			return recovered
-		}
-		e.b.record(err == nil, err)
-		if err == nil {
-			p.noteGood(e.src.name+"\x00"+sc.Key(), v)
-			// The source is back: evict everything computed while it was
-			// down (memoised virtual extents carrying degraded warnings
-			// depend on the source's scheme keys), so the next queries
-			// recompute over fresh data.
-			keys := make([]string, 0, e.src.schema.Len())
-			for _, o := range e.src.schema.Objects() {
-				keys = append(keys, o.Scheme.Key())
+		if _, _, err := r.materialise(nil); err != nil {
+			if ctx.Err() != nil {
+				// The probe run itself was cancelled; that says nothing
+				// about the source.
+				return recovered
 			}
-			p.InvalidateSchemes(keys...)
-			recovered++
+			continue
 		}
+		// The source is back: evict everything computed while it was
+		// down (memoised virtual extents carrying degraded warnings
+		// depend on the source's scheme keys), so the next queries
+		// recompute over fresh data.
+		keys := make([]string, 0, e.src.schema.Len())
+		for _, o := range e.src.schema.Objects() {
+			keys = append(keys, o.Scheme.Key())
+		}
+		p.InvalidateSchemes(keys...)
+		recovered++
 	}
 	return recovered
 }
@@ -415,13 +368,15 @@ func probeScheme(sch *hdm.Schema) (hdm.Scheme, bool) {
 }
 
 // SetCacheBytes bounds each extent cache layer (the virtual-extent
-// memo, the source-extent cache, and the join-index cache — whose
-// entries retain the extents they index) to budget bytes, evicting
-// entries beyond it; budget <= 0 removes the bound.
+// memo, the source-extent cache, the join-index cache — whose entries
+// retain the extents they index — and the last-good fallback copies)
+// to budget bytes, evicting entries beyond it; budget <= 0 removes the
+// bound.
 func (p *Processor) SetCacheBytes(budget int64) {
 	p.memo.SetMaxBytes(budget)
 	p.srcExt.SetMaxBytes(budget)
 	p.joinIdx.SetMaxBytes(budget)
+	p.lastGood.SetMaxBytes(budget)
 }
 
 // CacheStats snapshots the two extent cache layers: the virtual-extent
@@ -431,29 +386,21 @@ func (p *Processor) CacheStats() (memo, src cache.Stats) {
 }
 
 // Sourcer is the subset of wrapper behaviour the processor needs; it is
-// satisfied by wrapper implementations. Extent must tolerate concurrent
+// satisfied by wrapper implementations. Reads must tolerate concurrent
 // calls: the processor prefetches the extents a query enumerates in
 // parallel (misses of the same object are still coalesced to a single
-// fetch by the source-extent cache).
+// read by the source-extent cache).
 type Sourcer interface {
 	SchemaName() string
 	Schema() *hdm.Schema
 	Extent(parts []string) (iql.Value, error)
 }
 
-// ContextSourcer is the optional context-aware extension of an extent
-// provider: wrappers over remote backends (SQL over the wire, REST
-// endpoints) implement it so per-request timeouts and cancellation
-// propagate into the wire fetch instead of being checked only between
-// evaluation steps.
-type ContextSourcer interface {
-	ExtentContext(ctx context.Context, parts []string) (iql.Value, error)
-}
-
 // AddSource registers a data source. Source schema objects are
 // authoritative: references resolving in exactly one source schema are
-// answered by that source. Sources additionally implementing
-// ContextSourcer get request contexts threaded into their fetches.
+// answered by that source. Sources implementing ScanSourcer are read
+// through their scanners, under the request context, so per-request
+// timeouts and cancellation reach the wire read.
 func (p *Processor) AddSource(w Sourcer) error {
 	if w == nil {
 		return fmt.Errorf("query: nil source")
@@ -476,9 +423,6 @@ func (p *Processor) AddExtents(name string, schema *hdm.Schema, ext iql.Extents)
 		}
 	}
 	src := source{name: name, schema: schema, ext: ext, kind: "local"}
-	if cs, ok := ext.(ContextSourcer); ok {
-		src.extCtx = cs
-	}
 	if fb, ok := ext.(FallbackSourcer); ok {
 		src.fb = fb
 	}
@@ -934,68 +878,29 @@ func (p *Processor) resolveIn(name string, parts []string) (source, hdm.Scheme, 
 	return source{}, hdm.Scheme{}, false
 }
 
-// sourceExtent fetches (or reuses) one source object's extent.
-// Concurrent misses of the same object coalesce into a single wrapper
-// fetch via the cache's singleflight GetOrCompute, and the session
-// context rides into context-aware wrappers. Coalescing shares errors,
-// so a fetch cancelled by its initiating request's deadline would fail
-// every waiter; a waiter whose own context is still live retries once
-// under it instead of inheriting a cancellation that was never its.
-//
-// When breakers are enabled, the fetch is additionally guarded by the
-// source's circuit breaker (an open breaker short-circuits to the
-// stale-fallback path without touching the source), bounded by the
-// per-source deadline budget, and its outcome — only real wrapper
-// calls, never cache hits — feeds the breaker. A failed fetch whose
-// requesting context is still live degrades to the last-known-good
-// extent instead of erroring.
+// sourceExtent reads (or reuses) one source object's extent.
+// Concurrent misses of the same object coalesce into a single read via
+// the cache's singleflight GetOrCompute. Coalescing shares errors, so a
+// read cancelled by its initiating request's deadline would fail every
+// waiter; a waiter whose own context is still live retries once under
+// it instead of inheriting a cancellation that was never its. A read
+// that delivers no extent settles through failedRead.
 func (p *Processor) sourceExtent(s *session, src source, sc hdm.Scheme) (iql.Value, error) {
 	key := sc.Key()
 	s.dep(key)
 	ck := src.name + "\x00" + key
-	br := p.breakerFor(src.name)
-	if br != nil {
-		if proceed, _ := br.allow(); !proceed {
-			// Breaker open: the source gets no traffic at all.
-			if sp, _ := obs.StartSpan(s.ctx, obs.StageBreaker, src.name); sp != nil {
-				sp.SetDetail(key)
-				sp.End(nil)
-			}
-			return p.staleExtent(s, src, sc, ck, "breaker open: "+br.lastError())
-		}
-	}
 	fetched := false
 	compute := func() (iql.Value, int64, error) {
 		fetched = true
-		fctx := s.ctx
-		cancel := func() {}
-		if br != nil && p.brCfg.SourceTimeout > 0 && fctx != nil {
-			fctx, cancel = context.WithTimeout(fctx, p.brCfg.SourceTimeout)
-		}
-		v, err := src.fetch(fctx, sc)
-		cancel()
-		if br != nil {
-			if err != nil && s.ctx != nil && s.ctx.Err() != nil {
-				// The request itself was cancelled; that says nothing
-				// about the source's health.
-				br.cancelProbe()
-			} else {
-				br.record(err == nil, err)
-			}
-		}
-		if err != nil {
-			return iql.Value{}, 0, err
-		}
-		p.noteGood(ck, v)
-		return v, v.Footprint(), nil
+		return p.fetchExtent(s.ctx, src, sc)
 	}
 	v, shared, err := p.srcExt.GetOrCompute(ck, []string{key}, compute)
 	if err != nil && shared && isCancellation(err) && (s.ctx == nil || s.ctx.Err() == nil) {
 		v, _, err = p.srcExt.GetOrCompute(ck, []string{key}, compute)
 	}
 	// Cache hits (including waits coalesced onto another request's
-	// in-flight fetch) record a zero-cost hit span so traces show where
-	// an extent came from; misses were recorded inside fetch itself.
+	// in-flight read) record a zero-cost hit span so traces show where
+	// an extent came from; misses were recorded by the read itself.
 	if !fetched && s.ctx != nil {
 		if sp, _ := obs.StartSpan(s.ctx, obs.StageFetch, src.name); sp != nil {
 			sp.SetDetail(sc.Key())
@@ -1006,10 +911,24 @@ func (p *Processor) sourceExtent(s *session, src source, sc hdm.Scheme) (iql.Val
 			sp.End(err)
 		}
 	}
-	if err != nil && br != nil && (s.ctx == nil || s.ctx.Err() == nil) {
-		return p.staleExtent(s, src, sc, ck, "fetch failed: "+compactErr(err))
+	if err != nil {
+		return p.failedRead(s, src, sc, err)
 	}
-	return v, err
+	return v, nil
+}
+
+// failedRead settles a source read that delivered no extent. With
+// breakers enabled, an open breaker — or a failed read whose request is
+// still live — degrades to the last-known-good extent; otherwise the
+// error stands.
+func (p *Processor) failedRead(s *session, src source, sc hdm.Scheme, err error) (iql.Value, error) {
+	if errors.Is(err, errBreakerOpen) {
+		return p.staleExtent(s, src, sc, err.Error())
+	}
+	if p.breakerFor(src.name) != nil && (s.ctx == nil || s.ctx.Err() == nil) {
+		return p.staleExtent(s, src, sc, "fetch failed: "+compactErr(err))
+	}
+	return iql.Value{}, err
 }
 
 // staleExtent serves the last-known-good extent of a source object (or
@@ -1017,11 +936,9 @@ func (p *Processor) sourceExtent(s *session, src source, sc hdm.Scheme) (iql.Val
 // stamping the evaluation with a degraded warning. With no fallback
 // available — or fallback disabled — the source's unavailability
 // surfaces as an error.
-func (p *Processor) staleExtent(s *session, src source, sc hdm.Scheme, ck, cause string) (iql.Value, error) {
+func (p *Processor) staleExtent(s *session, src source, sc hdm.Scheme, cause string) (iql.Value, error) {
 	if !p.brCfg.DisableFallback {
-		p.lgMu.Lock()
-		lg, ok := p.lastGood[ck]
-		p.lgMu.Unlock()
+		lg, ok := p.lastGood.Get(src.name + "\x00" + sc.Key())
 		age := time.Duration(-1)
 		if ok {
 			age = time.Since(lg.at)

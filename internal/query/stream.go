@@ -3,11 +3,9 @@ package query
 import (
 	"context"
 	"strings"
-	"time"
 
 	"github.com/dataspace/automed/internal/hdm"
 	"github.com/dataspace/automed/internal/iql"
-	"github.com/dataspace/automed/internal/obs"
 	"github.com/dataspace/automed/internal/wrapper"
 )
 
@@ -21,12 +19,16 @@ import (
 //
 // Everything that relies on whole-extent values keeps its existing
 // semantics byte-identically by falling back to the materialised path
-// (ExtentStream returns ok=false): cached extents, open breakers,
-// computed virtual objects (bare renames — federation's include and
-// rename transforms — chase through to their source), ambiguous
-// references, non-streaming wrappers, snapshots (which go through
-// Processor.Extent), and extents at or below the spill threshold — those are read through the scanner once,
-// materialised, and cached exactly as a wrapper fetch would have been.
+// (ExtentStream returns ok=false): cached extents, computed virtual
+// objects (bare renames — federation's include and rename transforms —
+// chase through to their source), ambiguous references, non-streaming
+// wrappers, snapshots (which go through Processor.Extent), and extents
+// at or below the spill threshold — those are read through the scanner
+// once, materialised, and cached exactly as a cache-miss fetch would
+// have been. A streamed read is the same one read as a materialised
+// one (read.go): a read refused by an open breaker or failed before the
+// stream commits settles there once, and degrades as the materialised
+// path would, without reading the source again.
 
 // ScanSourcer is the pull-based scan extension an extent provider may
 // implement; it is wrapper.ScanSourcer re-exported so registering code
@@ -68,9 +70,9 @@ func (p *Processor) extentStream(s *session, parts []string) (iql.RowStream, boo
 	if !ok {
 		return nil, false, nil
 	}
-	rs, ok := p.sourceStream(s, src, sc, buf)
-	if !ok {
-		return nil, false, nil
+	rs, ok, err := p.sourceStream(s, src, sc, buf)
+	if err != nil || !ok {
+		return nil, false, err
 	}
 	// Committed to streaming: record the same dependency keys the
 	// materialised resolution would have.
@@ -150,82 +152,21 @@ func (p *Processor) resolveStreamable(scope string, parts []string) (source, hdm
 	return source{}, hdm.Scheme{}, nil, false
 }
 
-// sourceStream opens a scanner on one source object and decides,
-// through a spill probe of buf+1 rows, whether the extent is worth
-// streaming. Small extents are materialised from the probe, cached and
-// recorded exactly like a wrapper fetch, then served from the cache by
-// the materialised path (ok=false). Failures before the stream is
-// committed also return ok=false without recording a breaker outcome:
-// the materialised path refetches and its outcome is authoritative.
-func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int) (iql.RowStream, bool) {
+// sourceStream opens a read of one source object and decides, through
+// a spill probe of buf+1 rows, whether the extent is worth streaming.
+// Small extents are materialised from the probe and cached, then served
+// from the cache by the materialised path (ok=false). A read refused or
+// failed before the stream commits is settled once and served as the
+// materialised path would serve it (failedRead): a stream over the
+// stale extent, or the error.
+func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int) (iql.RowStream, bool, error) {
 	key := sc.Key()
-	ck := src.name + "\x00" + key
-	if p.srcExt.Peek(ck) {
-		return nil, false // cached: the materialised path serves it without touching the source
+	if p.srcExt.Peek(src.name + "\x00" + key) {
+		return nil, false, nil // cached: the materialised path serves it without touching the source
 	}
-	br := p.breakerFor(src.name)
-	if br != nil {
-		if proceed, _ := br.allow(); !proceed {
-			return nil, false // breaker open: materialised path takes the stale route
-		}
-	}
-
-	// Span and metrics bookkeeping mirror source.fetch: one StageFetch
-	// span parents the scanner's per-page spans, and completion feeds
-	// rows/bytes/retries into the same per-source registry.
-	start := time.Now()
-	sp, sctx := obs.StartSpan(s.ctx, obs.StageFetch, src.name)
-	sp.SetDetail(key)
-	sp.SetCache(obs.CacheMiss)
-	sources := obs.SourcesFrom(s.ctx)
-	var fs *obs.FetchStat
-	base := sctx
-	if base != nil {
-		base, fs = obs.BeginFetch(base)
-	} else {
-		base = context.Background()
-	}
-	cctx, cancel := context.WithCancel(base)
-
-	// finish records the scan's one outcome: breaker verdict, span end,
-	// per-source metrics. aborted=true means the consumer walked away
-	// (early Close, request cancellation) — that says nothing about the
-	// source, so no outcome is recorded against the breaker. pulled is
-	// the footprint of the rows read from the scanner, reported as the
-	// scan's bytes when the wrapper reported no wire bytes, exactly as
-	// source.fetch falls back to the materialised extent's footprint.
-	finished := false
-	finish := func(ferr error, rows, pulled int64, aborted bool) {
-		if finished {
-			return
-		}
-		finished = true
-		if br != nil {
-			if aborted {
-				br.cancelProbe()
-			} else {
-				br.record(ferr == nil, ferr)
-			}
-		}
-		bytes := fs.Bytes()
-		if bytes == 0 && ferr == nil {
-			bytes = pulled
-		}
-		sp.SetRows(rows)
-		sp.SetBytes(bytes)
-		sp.SetRetries(fs.Retries())
-		sp.End(ferr)
-		sources.Observe(src.name, src.kind, time.Since(start), rows, bytes, fs.Retries(), ferr)
-	}
-
-	scn, err := src.scan.ExtentScanner(cctx, sc.Parts())
+	r, err := p.openRead(s.ctx, src, sc, true)
 	if err != nil {
-		cancel()
-		if br != nil {
-			br.cancelProbe()
-		}
-		sp.End(err)
-		return nil, false
+		return p.failedStream(s, src, sc, err)
 	}
 
 	// Spill probe: read up to buf+1 rows. Exhausting the scanner within
@@ -233,29 +174,19 @@ func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int)
 	// The probe grows by append: a small extent is cached as this very
 	// slice, which must not pin a buffer-sized backing array.
 	var probe []iql.Value
-	for len(probe) <= buf {
-		if !scn.Next(cctx) {
-			if serr := scn.Err(); serr != nil {
-				scn.Close()
-				cancel()
-				if br != nil {
-					br.cancelProbe()
-				}
-				sp.End(serr)
-				return nil, false
-			}
-			// Small extent: materialise, cache, and serve through the
-			// materialised path so semantics (and cache behaviour) are
-			// byte-identical to a plain wrapper fetch.
-			scn.Close()
-			cancel()
-			v := iql.BagOf(probe)
-			p.noteGood(ck, v)
-			p.srcExt.Put(ck, v, v.Footprint(), []string{key})
-			finish(nil, int64(len(probe)), v.Footprint(), false)
-			return nil, false
+	for r.err == nil && len(probe) <= buf && r.scn.Next(r.ctx) {
+		probe = append(probe, r.scn.Row())
+	}
+	if len(probe) <= buf {
+		// Small (or failed) extent: materialise and cache it, so the
+		// materialised path serves it byte-identically to a plain
+		// cache-miss fetch.
+		v, fp, err := r.materialise(probe)
+		if err != nil {
+			return p.failedStream(s, src, sc, err)
 		}
-		probe = append(probe, scn.Row())
+		p.srcExt.Put(src.name+"\x00"+key, v, fp, []string{key})
+		return nil, false, nil
 	}
 
 	rows, slots := streamBatching(buf)
@@ -266,13 +197,46 @@ func (p *Processor) sourceStream(s *session, src source, sc hdm.Scheme, buf int)
 		free:      make(chan []iql.Value, slots+2),
 		done:      make(chan struct{}),
 		pulled:    iql.BagOf(probe).Footprint(),
-		cancel:    cancel,
-		scn:       scn,
-		reqCtx:    s.ctx,
-		finish:    finish,
+		r:         r,
 	}
-	go st.pump(cctx)
-	return st, true
+	go st.pump(r.ctx)
+	return st, true, nil
+}
+
+// failedStream serves a read that failed before its stream committed
+// exactly as the materialised path serves a failed read: the stale
+// extent, as a stream over its rows, or the error.
+func (p *Processor) failedStream(s *session, src source, sc hdm.Scheme, err error) (iql.RowStream, bool, error) {
+	v, err := p.failedRead(s, src, sc, err)
+	if err != nil {
+		return nil, false, err
+	}
+	els, err := v.Elements()
+	if err != nil {
+		return nil, false, err
+	}
+	return &sliceStream{items: els}, true, nil
+}
+
+// sliceStream serves an already-materialised extent as a RowStream.
+type sliceStream struct {
+	items []iql.Value
+	cur   iql.Value
+}
+
+func (st *sliceStream) Next() bool {
+	if len(st.items) == 0 {
+		return false
+	}
+	st.cur, st.items = st.items[0], st.items[1:]
+	return true
+}
+
+func (st *sliceStream) Row() iql.Value { return st.cur }
+func (st *sliceStream) Err() error     { return nil }
+func (st *sliceStream) Close() error {
+	st.items = nil
+	return nil
 }
 
 // streamBatches is how many batches the pump's prefetch window is cut
@@ -324,10 +288,9 @@ type sourceStream struct {
 	pulled int64
 	done   chan struct{}
 
-	cancel context.CancelFunc
-	scn    wrapper.Scanner
-	reqCtx context.Context
-	finish func(ferr error, rows, pulled int64, aborted bool)
+	// r is the stream's read: its scanner feeds the pump, and it is
+	// settled once the pump exits or the consumer walks away.
+	r *sourceRead
 
 	rows   int64
 	err    error
@@ -340,9 +303,10 @@ type sourceStream struct {
 // evaluator sees the same row sequence as a row-at-a-time hand-off.
 func (st *sourceStream) pump(ctx context.Context) {
 	var ferr error
+	scn := st.r.scn
 	b := st.newBatch()
-	for st.scn.Next(ctx) {
-		b = append(b, st.scn.Row())
+	for scn.Next(ctx) {
+		b = append(b, scn.Row())
 		if len(b) == cap(b) {
 			if ferr = st.send(ctx, b); ferr != nil {
 				break
@@ -354,7 +318,7 @@ func (st *sourceStream) pump(ctx context.Context) {
 		ferr = st.send(ctx, b)
 	}
 	if ferr == nil {
-		ferr = st.scn.Err()
+		ferr = scn.Err()
 	}
 	st.ferr = ferr
 	close(st.ch)
@@ -418,30 +382,28 @@ func (st *sourceStream) Row() iql.Value { return st.cur }
 func (st *sourceStream) Err() error { return st.err }
 
 // terminate settles the stream after the pump exits: releases the
-// scanner and records the scan's outcome exactly once.
+// scanner and records the scan's outcome.
 func (st *sourceStream) terminate(ferr error) {
 	st.err = ferr
-	st.cancel()
-	st.scn.Close()
-	aborted := ferr != nil && st.reqCtx != nil && st.reqCtx.Err() != nil
-	st.finish(ferr, st.rows, st.pulled, aborted)
+	st.r.scn.Close()
+	st.r.end(ferr, st.rows, st.pulled, false)
 }
 
 // Close releases the stream at any point; it is idempotent and safe
 // after exhaustion. Closing before exhaustion cancels the pump, waits
 // for it to exit, and releases the scanner; no breaker outcome is
 // recorded then, because an abandoned scan says nothing about the
-// source. (cancel, the scanner's Close, and finish are all idempotent,
+// source. (cancel, the scanner's Close, and end are all idempotent,
 // so a stream already settled by terminate is a no-op here.)
 func (st *sourceStream) Close() error {
 	if st.closed {
 		return nil
 	}
 	st.closed = true
-	st.cancel()
+	st.r.cancel()
 	<-st.done
-	st.scn.Close()
-	st.finish(nil, st.rows, st.pulled, true)
+	st.r.scn.Close()
+	st.r.end(nil, st.rows, st.pulled, true)
 	st.batch = nil
 	return nil
 }

@@ -28,8 +28,9 @@ type Config struct {
 	// <= 0 disables result caching.
 	ResultCacheSize int
 	// CacheBytes is the byte budget applied to each size-aware cache
-	// layer per session (query results, extent memo, source extents);
-	// LRU entries are evicted beyond it. <= 0 means unbounded.
+	// layer per session (query results, extent memo, source extents,
+	// last-good fallback extents); LRU entries are evicted beyond it.
+	// <= 0 means unbounded.
 	CacheBytes int64
 	// QueryTimeout is the default per-query evaluation deadline;
 	// requests may shorten it via timeout_ms. 0 means no deadline.

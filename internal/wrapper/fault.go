@@ -123,56 +123,56 @@ func (w *Fault) decide() (cfg FaultConfig, fail bool) {
 	return cfg, false
 }
 
-// Extent implements Wrapper.
+// Extent implements Wrapper: the scanner drained under
+// context.Background().
 func (w *Fault) Extent(parts []string) (iql.Value, error) {
-	return w.ExtentContext(context.Background(), parts)
+	return Drain(context.Background(), w, parts)
 }
 
-// ExtentContext injects the configured faults around the inner fetch.
-func (w *Fault) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
+// ExtentScanner implements ScanSourcer: opening a scanner consumes one
+// fetch slot and injects the configured faults, then scans the inner
+// source. Fault reports no StreamingScans, so the query pipeline keeps
+// fault-wrapped sources materialised.
+func (w *Fault) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
 	if err := ctx.Err(); err != nil {
-		return iql.Value{}, err
+		return nil, err
 	}
 	cfg, fail := w.decide()
 	if cfg.Hang {
 		<-ctx.Done()
-		return iql.Value{}, ctx.Err()
+		return nil, ctx.Err()
 	}
 	if cfg.Latency > 0 {
 		t := time.NewTimer(cfg.Latency)
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return iql.Value{}, ctx.Err()
+			return nil, ctx.Err()
 		case <-t.C:
 		}
 	}
 	if fail {
-		return iql.Value{}, fmt.Errorf("wrapper: fault: source %q: injected failure", w.SchemaName())
+		return nil, fmt.Errorf("wrapper: fault: source %q: injected failure", w.SchemaName())
 	}
-	v, err := w.innerExtent(ctx, parts)
+	var scn Scanner
+	var err error
+	if ss, ok := w.inner.(ScanSourcer); ok {
+		scn, err = ss.ExtentScanner(ctx, parts)
+	} else {
+		scn, err = materialisedScanner(w.inner, parts)
+	}
+	if err != nil || cfg.Amplify <= 1 {
+		return scn, err
+	}
+	v, err := Materialise(ctx, scn, nil)
 	if err != nil {
-		return iql.Value{}, err
+		return nil, err
 	}
-	if cfg.Amplify > 1 && v.Kind == iql.KindBag {
-		items := make([]iql.Value, 0, len(v.Items)*cfg.Amplify)
-		for i := 0; i < cfg.Amplify; i++ {
-			items = append(items, v.Items...)
-		}
-		v = iql.BagOf(items)
+	items := make([]iql.Value, 0, len(v.Items)*cfg.Amplify)
+	for i := 0; i < cfg.Amplify; i++ {
+		items = append(items, v.Items...)
 	}
-	return v, nil
-}
-
-// innerExtent routes to the inner wrapper's context-aware path when it
-// has one.
-func (w *Fault) innerExtent(ctx context.Context, parts []string) (iql.Value, error) {
-	if cw, ok := w.inner.(interface {
-		ExtentContext(ctx context.Context, parts []string) (iql.Value, error)
-	}); ok {
-		return cw.ExtentContext(ctx, parts)
-	}
-	return w.inner.Extent(parts)
+	return NewSliceScanner(items), nil
 }
 
 // Ping reports the wrapper's current injected availability by

@@ -77,7 +77,7 @@ func TestFaultHangHonoursContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	if _, err := w.ExtentContext(ctx, []string{"books"}); err == nil {
+	if _, err := wrapper.Drain(ctx, w, []string{"books"}); err == nil {
 		t.Fatal("hanging fetch returned without error")
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

@@ -154,7 +154,7 @@ func (w *REST) declared(ctx context.Context, specs []RESTCollection) ([]restColl
 			c.key = "id"
 		}
 		if len(c.fields) == 0 {
-			rows, err := w.fetchRows(ctx, c)
+			rows, err := w.records(ctx, c)
 			if err != nil {
 				return nil, fmt.Errorf("wrapper: rest: source %q: inferring fields of %q: %w", w.name, c.name, err)
 			}
@@ -262,59 +262,18 @@ func (w *REST) Kind() string { return "rest" }
 // Config returns the wrapper's endpoint configuration.
 func (w *REST) Config() RESTConfig { return w.cfg }
 
-// Extent implements Wrapper.
+// Extent implements Wrapper: the scanner drained under
+// context.Background(). Restored wrappers fall back to their
+// materialised snapshot extents when the live read fails.
 func (w *REST) Extent(parts []string) (iql.Value, error) {
-	return w.ExtentContext(context.Background(), parts)
-}
-
-// ExtentContext is Extent under a caller-supplied context: the fetch
-// aborts as soon as ctx is cancelled (the per-wrapper Timeout still
-// applies on top). Restored wrappers fall back to their materialised
-// snapshot extents when the live fetch fails.
-func (w *REST) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
-	obj, err := w.schema.Resolve(parts)
-	if err != nil {
-		return iql.Value{}, err
-	}
-	sc := obj.Scheme
-	c, ok := w.colls[sc.Part(0)]
-	if !ok {
-		return iql.Value{}, fmt.Errorf("wrapper: rest: source %q: no collection %q", w.name, sc.Part(0))
-	}
-	rows, err := w.fetchRows(ctx, c)
-	if err != nil {
-		if fb, ok := w.fallback[sc.Key()]; ok && ctx.Err() == nil {
-			return fb, nil
-		}
-		return iql.Value{}, fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", w.name, sc, err)
-	}
-	return extentFromRows(sc, c, rows)
-}
-
-// extentFromRows projects fetched records onto one object's extent.
-func extentFromRows(sc hdm.Scheme, c restColl, rows []map[string]iql.Value) (iql.Value, error) {
-	if sc.Arity() > 2 {
-		return iql.Value{}, fmt.Errorf("wrapper: rest: unsupported scheme %s", sc)
-	}
-	items := make([]iql.Value, 0, len(rows))
-	for i, r := range rows {
-		item, ok, err := rowItem(sc, c, r, i)
-		if err != nil {
-			return iql.Value{}, err
-		}
-		if ok {
-			items = append(items, item)
-		}
-	}
-	return iql.BagOf(items), nil
+	return Drain(context.Background(), w, parts)
 }
 
 // rowItem projects one fetched record onto an extent item; i is the
 // record's position within the collection, used in error messages. A
 // false return (arity 2 only) means the record has no value for the
 // field: absent/null fields are absent from the extent, like
-// relational NULLs. The materialised and scanner paths share this
-// projection, so scanner rows are byte-identical to extent rows.
+// relational NULLs.
 func rowItem(sc hdm.Scheme, c restColl, r map[string]iql.Value, i int) (iql.Value, bool, error) {
 	k, ok := r[c.key]
 	if !ok || k.IsNull() {
@@ -339,33 +298,19 @@ func (w *REST) collURL(c restColl) string {
 	return strings.TrimSuffix(w.cfg.Endpoint, "/") + c.path
 }
 
-// fetchRows GETs a collection and decodes it, following rel="next"
-// Link headers page by page until the chain ends, so the materialised
-// extent is the concatenation of exactly the pages a scanner would
-// stream. Unpaginated endpoints (no Link header) cost one GET, as
-// before.
-func (w *REST) fetchRows(ctx context.Context, c restColl) ([]map[string]iql.Value, error) {
-	url := w.collURL(c)
-	rows, next, err := w.fetchPage(ctx, url, c.path)
-	if err != nil {
-		return nil, err
-	}
-	for pages := 1; next != ""; pages++ {
-		if pages >= restMaxPages {
-			return nil, fmt.Errorf("GET %s: pagination exceeds %d pages", w.collURL(c), restMaxPages)
-		}
-		if next == url {
-			return nil, fmt.Errorf("GET %s: next link points at itself", url)
-		}
-		url = next
-		var more []map[string]iql.Value
-		more, next, err = w.fetchPage(ctx, url, url)
+// records GETs every page of a collection's pagination chain and
+// returns their decoded records (field inference reads them whole).
+func (w *REST) records(ctx context.Context, c restColl) ([]map[string]iql.Value, error) {
+	pg := &restScanner{w: w, c: c, next: w.collURL(c), detail: c.path}
+	var all []map[string]iql.Value
+	for pg.next != "" {
+		rows, err := pg.page(ctx)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, more...)
+		all = append(all, rows...)
 	}
-	return rows, nil
+	return all, nil
 }
 
 // StreamingScans reports that ExtentScanner pages records from the
@@ -374,8 +319,7 @@ func (w *REST) StreamingScans() bool { return true }
 
 // ExtentScanner implements ScanSourcer: it follows the collection's
 // pagination chain page by page, holding one decoded page at a time.
-// Endpoints that don't paginate stream their single response, which
-// still spares the caller the materialised extent copy.
+// Endpoints that don't paginate serve their single response.
 func (w *REST) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
@@ -433,26 +377,34 @@ func (s *restScanner) Next(ctx context.Context) bool {
 	return true
 }
 
+// page fetches the next page of the chain and returns its decoded
+// records, guarding against runaway and self-referencing chains.
+func (s *restScanner) page(ctx context.Context) ([]map[string]iql.Value, error) {
+	if s.pages >= restMaxPages {
+		return nil, fmt.Errorf("GET %s: pagination exceeds %d pages", s.w.collURL(s.c), restMaxPages)
+	}
+	if s.next == s.prev {
+		return nil, fmt.Errorf("GET %s: next link points at itself", s.prev)
+	}
+	url := s.next
+	rows, next, err := s.w.fetchPage(ctx, url, s.detail)
+	if err != nil {
+		return nil, err
+	}
+	s.prev, s.next, s.detail = url, next, next
+	s.pages++
+	return rows, nil
+}
+
 // fetchNext fetches the next page of the chain and projects its
 // records, refilling the buffer in place: the previous page's rows are
 // cleared first, so the one page buffer a scan reuses never pins rows
 // the caller has moved past.
 func (s *restScanner) fetchNext(ctx context.Context) error {
-	if s.pages >= restMaxPages {
-		return fmt.Errorf("wrapper: rest: source %q: fetching %s: GET %s: pagination exceeds %d pages",
-			s.w.name, s.sc, s.w.collURL(s.c), restMaxPages)
-	}
-	if s.next == s.prev {
-		return fmt.Errorf("wrapper: rest: source %q: fetching %s: GET %s: next link points at itself",
-			s.w.name, s.sc, s.prev)
-	}
-	url := s.next
-	rows, next, err := s.w.fetchPage(ctx, url, s.detail)
+	rows, err := s.page(ctx)
 	if err != nil {
 		return fmt.Errorf("wrapper: rest: source %q: fetching %s: %w", s.w.name, s.sc, err)
 	}
-	s.prev, s.next, s.detail = url, next, next
-	s.pages++
 	clear(s.buf)
 	items := s.buf[:0]
 	for _, r := range rows {
@@ -706,6 +658,10 @@ func (w *REST) Ping(ctx context.Context) error {
 // if this wrapper carries one (restored wrappers do). It implements the
 // processor's stale-fallback extension (query.FallbackSourcer).
 func (w *REST) FallbackExtent(parts []string) (iql.Value, bool) {
+	return w.snapshotExtent(parts)
+}
+
+func (w *REST) snapshotExtent(parts []string) (iql.Value, bool) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
 		return iql.Value{}, false

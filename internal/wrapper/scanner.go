@@ -3,14 +3,15 @@ package wrapper
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"github.com/dataspace/automed/internal/iql"
 )
 
-// Scanner streams one object's extent row by row. It is the pull-based
-// alternative to Wrapper.Extent: callers drive the iteration, so only a
-// bounded window of the extent is resident at a time, which is what
-// lets one daemon host million-row remote tables with flat memory.
+// Scanner streams one object's extent row by row: callers drive the
+// iteration, so only a bounded window of the extent is resident at a
+// time, which is what lets one daemon host million-row remote tables
+// with flat memory.
 //
 // The protocol follows database/sql.Rows: Next advances to the next row
 // (fetching more data from the backend as needed) and reports false at
@@ -28,13 +29,14 @@ type Scanner interface {
 	Close() error
 }
 
-// ScanSourcer is the streaming extension of a wrapper: ExtentScanner
-// returns a Scanner over the extent of the object referenced by parts.
-// Every wrapper in this package implements it; wrappers over remote
-// backends (SQL, REST) stream pages from the wire, while local wrappers
-// adapt their materialised extents. The scanner yields exactly the rows
-// Extent would return, in the same order — the conformance suite
-// enforces this byte-for-byte.
+// ScanSourcer is a wrapper's context-aware read: ExtentScanner returns
+// a Scanner over the extent of the object referenced by parts. Every
+// wrapper in this package implements it; wrappers over remote backends
+// (SQL, REST) stream pages from the wire, and their Extent is the
+// scanner drained (Drain), while local wrappers adapt their
+// materialised extents. The scanner yields exactly the rows Extent
+// returns, in the same order — the conformance suite enforces this
+// byte-for-byte.
 type ScanSourcer interface {
 	ExtentScanner(ctx context.Context, parts []string) (Scanner, error)
 }
@@ -81,44 +83,109 @@ func (s *sliceScanner) Close() error {
 // interface by fetching it whole first. It is how wrappers whose
 // backends cannot page (in-memory tables, parsed documents) satisfy
 // ScanSourcer.
-func materialisedScanner(w Wrapper, ctx context.Context, parts []string) (Scanner, error) {
-	var v iql.Value
-	var err error
-	if cw, ok := w.(interface {
-		ExtentContext(ctx context.Context, parts []string) (iql.Value, error)
-	}); ok {
-		v, err = cw.ExtentContext(ctx, parts)
-	} else {
-		v, err = w.Extent(parts)
-	}
+func materialisedScanner(w Wrapper, parts []string) (Scanner, error) {
+	v, err := w.Extent(parts)
 	if err != nil {
 		return nil, err
 	}
+	return valueScanner(w.SchemaName(), parts, v)
+}
+
+// valueScanner serves an already-materialised extent as a Scanner.
+func valueScanner(name string, parts []string, v iql.Value) (Scanner, error) {
 	els, err := v.Elements()
 	if err != nil {
 		return nil, fmt.Errorf("wrapper: %s: extent of <<%s>> is not a collection: %w",
-			w.SchemaName(), joinParts(parts), err)
+			name, strings.Join(parts, ", "), err)
 	}
 	return NewSliceScanner(els), nil
 }
 
-func joinParts(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += ", "
-		}
-		out += p
+// Drain is every wrapper's materialised read: it opens w's scanner over
+// the object referenced by parts, materialises it, and, when the live
+// read fails while ctx is still live, serves the wrapper's snapshot
+// fallback instead (see Fallback). Extent on the scanning wrappers is
+// Drain under context.Background().
+func Drain(ctx context.Context, w ScanSourcer, parts []string) (iql.Value, error) {
+	scn, err := w.ExtentScanner(ctx, parts)
+	var v iql.Value
+	if err == nil {
+		v, err = Materialise(ctx, scn, nil)
 	}
-	return out
+	if err != nil {
+		return Fallback(ctx, w, parts, err)
+	}
+	return v, nil
+}
+
+// Materialise drains scn into the bag of its whole extent and closes
+// it; read holds rows already taken from scn, which head the bag.
+func Materialise(ctx context.Context, scn Scanner, read []iql.Value) (iql.Value, error) {
+	defer scn.Close()
+	var err error
+	if d, ok := scn.(drainer); ok {
+		read, err = d.drain(ctx, read)
+	} else {
+		for scn.Next(ctx) {
+			read = append(read, scn.Row())
+		}
+		err = scn.Err()
+	}
+	if err != nil {
+		return iql.Value{}, err
+	}
+	return iql.BagOf(read), nil
+}
+
+// drainer is implemented by scanners that can append all their
+// remaining rows at once, sparing Materialise a row-by-row copy.
+type drainer interface {
+	drain(ctx context.Context, out []iql.Value) ([]iql.Value, error)
+}
+
+// drain hands over the remaining items, without copying when out is
+// empty.
+func (s *sliceScanner) drain(ctx context.Context, out []iql.Value) ([]iql.Value, error) {
+	if s.err != nil {
+		return nil, s.err
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	rest := s.items[s.i:]
+	s.i = len(s.items)
+	if len(out) == 0 {
+		return rest, nil
+	}
+	return append(out, rest...), nil
+}
+
+// snapshotFallback is implemented by the remote wrappers (SQL, REST)
+// restored from a snapshot: they carry its materialised extents for the
+// time their backend is unreachable.
+type snapshotFallback interface {
+	snapshotExtent(parts []string) (iql.Value, bool)
+}
+
+// Fallback settles a failed live read (err) of the object referenced by
+// parts: while ctx is still live, a wrapper carrying a snapshot extent
+// for the object serves it; otherwise err stands. A cancelled read never
+// falls back, so deadlines surface as errors.
+func Fallback(ctx context.Context, w any, parts []string, err error) (iql.Value, error) {
+	if sf, ok := w.(snapshotFallback); ok && ctx.Err() == nil {
+		if v, ok := sf.snapshotExtent(parts); ok {
+			return v, nil
+		}
+	}
+	return iql.Value{}, err
 }
 
 // ExtentScanner implements ScanSourcer over the in-memory database.
 func (w *Relational) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
-	return materialisedScanner(w, ctx, parts)
+	return materialisedScanner(w, parts)
 }
 
 // ExtentScanner implements ScanSourcer over the fixed extents.
 func (w *Static) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
-	return materialisedScanner(w, ctx, parts)
+	return materialisedScanner(w, parts)
 }

@@ -90,7 +90,7 @@ func TestSQLContextCancellationMidQuery(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := w.ExtentContext(ctx, []string{"books"})
+	_, err := wrapper.Drain(ctx, w, []string{"books"})
 	if err == nil {
 		t.Fatal("fetch against a slow backend ignored its deadline")
 	}
@@ -125,6 +125,27 @@ func TestSQLOfflineRestoreServesFallback(t *testing.T) {
 	// error for it, not silent staleness.
 	if _, err := w.Extent([]string{"books", "title"}); err == nil {
 		t.Error("live wrapper with a vanished backend succeeded")
+	}
+}
+
+// TestSQLRestoredDeadlineDoesNotFallBack: a restored wrapper serves its
+// snapshot only in place of a failed live read; a read cut by its own
+// deadline fails instead of answering stale data.
+func TestSQLRestoredDeadlineDoesNotFallBack(t *testing.T) {
+	w, dsn := newSQLFixture(t, wrapper.DialectSQLite)
+	snap, err := w.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := wrapper.Restore(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sqlmem.SetDelay(dsn, 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := wrapper.Drain(ctx, restored.(wrapper.ScanSourcer), []string{"books"}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the read's deadline", err)
 	}
 }
 

@@ -28,11 +28,10 @@ type SQLConfig struct {
 	// combines with (never extends) the caller's context. Defaults to
 	// 30s.
 	Timeout time.Duration
-	// FetchPageRows bounds how many rows each paged scanner SELECT
-	// fetches per round trip (LIMIT/OFFSET). 0 uses
-	// DefaultFetchPageRows; negative disables paging, so scanners
-	// degrade to one unbounded SELECT adapted to the Scanner interface.
-	// Materialised Extent fetches are never paged.
+	// FetchPageRows bounds how many rows each scanner SELECT fetches
+	// per round trip (LIMIT/OFFSET); materialised reads drain the same
+	// scanner, so they page alike. 0 uses DefaultFetchPageRows;
+	// negative disables paging: every read is one unbounded SELECT.
 	FetchPageRows int
 }
 
@@ -185,6 +184,10 @@ func (w *SQL) Ping(ctx context.Context) error {
 // if this wrapper carries one (restored wrappers do). It implements the
 // processor's stale-fallback extension (query.FallbackSourcer).
 func (w *SQL) FallbackExtent(parts []string) (iql.Value, bool) {
+	return w.snapshotExtent(parts)
+}
+
+func (w *SQL) snapshotExtent(parts []string) (iql.Value, bool) {
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
 		return iql.Value{}, false
@@ -193,35 +196,11 @@ func (w *SQL) FallbackExtent(parts []string) (iql.Value, bool) {
 	return v, ok
 }
 
-// Extent implements Wrapper.
+// Extent implements Wrapper: the scanner drained under
+// context.Background(). Restored wrappers fall back to their
+// materialised snapshot extents when the live read fails.
 func (w *SQL) Extent(parts []string) (iql.Value, error) {
-	return w.ExtentContext(context.Background(), parts)
-}
-
-// ExtentContext is Extent under a caller-supplied context: the fetch is
-// abandoned as soon as ctx is cancelled (the per-wrapper Timeout still
-// applies on top). Restored wrappers fall back to their materialised
-// snapshot extents when the live fetch fails.
-func (w *SQL) ExtentContext(ctx context.Context, parts []string) (iql.Value, error) {
-	obj, err := w.schema.Resolve(parts)
-	if err != nil {
-		return iql.Value{}, err
-	}
-	sc := obj.Scheme
-	if w.db == nil {
-		if v, ok := w.fallback[sc.Key()]; ok {
-			return v, nil
-		}
-		return iql.Value{}, fmt.Errorf("wrapper: sql: source %q is offline and has no materialised extent for %s", w.name, sc)
-	}
-	v, err := w.fetch(ctx, sc)
-	if err != nil {
-		if fb, ok := w.fallback[sc.Key()]; ok && ctx.Err() == nil {
-			return fb, nil
-		}
-		return iql.Value{}, err
-	}
-	return v, nil
+	return Drain(context.Background(), w, parts)
 }
 
 // pageRows resolves the configured scanner page size: 0 means
@@ -244,32 +223,35 @@ func (w *SQL) pageRows() int {
 func (w *SQL) StreamingScans() bool { return w.db != nil && w.pageRows() > 0 }
 
 // ExtentScanner implements ScanSourcer: it pages the extent SELECT
-// through LIMIT/OFFSET so only one page of rows is resident at a time.
-// Offline wrappers (and paging disabled via FetchPageRows < 0) degrade
-// to scanning the materialised extent.
+// through LIMIT/OFFSET so only one page of rows is resident at a time;
+// with paging disabled (FetchPageRows < 0) it runs one unbounded
+// SELECT. An offline wrapper scans its materialised snapshot extent.
 func (w *SQL) ExtentScanner(ctx context.Context, parts []string) (Scanner, error) {
-	if !w.StreamingScans() {
-		return materialisedScanner(w, ctx, parts)
-	}
 	obj, err := w.schema.Resolve(parts)
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := w.extentStmt(obj.Scheme)
+	sc := obj.Scheme
+	if w.db == nil {
+		if v, ok := w.fallback[sc.Key()]; ok {
+			return valueScanner(w.name, parts, v)
+		}
+		return nil, fmt.Errorf("wrapper: sql: source %q is offline and has no materialised extent for %s", w.name, sc)
+	}
+	stmt, err := w.extentStmt(sc)
 	if err != nil {
 		return nil, err
 	}
-	return &sqlScanner{w: w, sc: obj.Scheme, stmt: stmt, pageRows: w.pageRows()}, nil
+	return &sqlScanner{w: w, sc: sc, stmt: stmt, pageRows: w.pageRows()}, nil
 }
 
-// sqlScanner pages one extent SELECT through LIMIT/OFFSET. Each page
-// is one bounded round trip under the wrapper's Timeout; between pages
-// no backend resources are held. Paging carries no ORDER BY, matching
-// the unordered SELECT of the materialised path — backends whose
-// unordered scans are stable across statements (sqlmem, single-writer
-// SQLite) therefore yield byte-identical rows; concurrently mutated
-// backends can tear across page boundaries just as two materialised
-// fetches can differ.
+// sqlScanner pages one extent SELECT through LIMIT/OFFSET (pageRows 0:
+// one unpaged SELECT). Each page is one bounded round trip under the
+// wrapper's Timeout; between pages no backend resources are held.
+// Paging carries no ORDER BY — backends whose unordered scans are
+// stable across statements (sqlmem, single-writer SQLite) therefore
+// yield the same rows on every scan; concurrently mutated backends can
+// tear across page boundaries.
 type sqlScanner struct {
 	w        *SQL
 	sc       hdm.Scheme
@@ -298,37 +280,62 @@ func (s *sqlScanner) Next(ctx context.Context) bool {
 			return false
 		}
 		// NULL skipping can empty a page, so keep fetching until rows
-		// arrive or the backend reports a short (final) page.
-		if err := s.fetchPage(ctx); err != nil {
+		// arrive or the backend reports a short (final) page. The
+		// previous page's rows are cleared first, so the one page buffer
+		// a scan reuses never pins rows the caller has moved past.
+		clear(s.buf)
+		buf, err := s.fetchPage(ctx, s.buf[:0])
+		if err != nil {
 			s.err = err
 			return false
 		}
+		s.buf, s.i = buf, 0
 	}
 	s.cur = s.buf[s.i]
 	s.i++
 	return true
 }
 
-// fetchPage runs one LIMIT/OFFSET round trip, refilling the buffer in
-// place: the previous page's rows are cleared first, so the one page
-// buffer a scan reuses never pins rows the caller has moved past.
-func (s *sqlScanner) fetchPage(ctx context.Context) error {
-	stmt := fmt.Sprintf("%s LIMIT %d OFFSET %d", s.stmt, s.pageRows, s.offset)
+// drain appends the scan's remaining rows to out, fetching the
+// remaining pages straight into it rather than through the page buffer.
+func (s *sqlScanner) drain(ctx context.Context, out []iql.Value) ([]iql.Value, error) {
+	if s.closed || s.err != nil {
+		return nil, s.err
+	}
+	out = append(out, s.buf[s.i:]...)
+	s.i = len(s.buf)
+	for !s.done {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var err error
+		if out, err = s.fetchPage(ctx, out); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// fetchPage runs one LIMIT/OFFSET round trip, appending the page's rows
+// to dst.
+func (s *sqlScanner) fetchPage(ctx context.Context, dst []iql.Value) ([]iql.Value, error) {
+	stmt := s.stmt
+	if s.pageRows > 0 {
+		stmt = fmt.Sprintf("%s LIMIT %d OFFSET %d", s.stmt, s.pageRows, s.offset)
+	}
 	ctx, cancel := context.WithTimeout(ctx, s.w.cfg.Timeout)
 	defer cancel()
 	sp, ctx := obs.StartSpan(ctx, "sql", stmt)
-	clear(s.buf)
-	items, scanned, err := s.w.selectItems(ctx, stmt, s.sc, s.buf[:0])
+	items, scanned, err := s.w.selectItems(ctx, stmt, s.sc, dst)
 	sp.End(err)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	s.offset += scanned
-	s.buf, s.i = items, 0
-	if scanned < s.pageRows {
+	if s.pageRows <= 0 || scanned < s.pageRows {
 		s.done = true
 	}
-	return nil
+	return items, nil
 }
 
 func (s *sqlScanner) Row() iql.Value { return s.cur }
@@ -359,32 +366,9 @@ func (w *SQL) extentStmt(sc hdm.Scheme) (string, error) {
 	return "", fmt.Errorf("wrapper: sql: source %q: unsupported scheme %s", w.name, sc)
 }
 
-// fetch streams one object's extent from the backend.
-func (w *SQL) fetch(ctx context.Context, sc hdm.Scheme) (iql.Value, error) {
-	stmt, err := w.extentStmt(sc)
-	if err != nil {
-		return iql.Value{}, err
-	}
-	ctx, cancel := context.WithTimeout(ctx, w.cfg.Timeout)
-	defer cancel()
-	sp, ctx := obs.StartSpan(ctx, "sql", stmt)
-	v, err := w.query(ctx, stmt, sc)
-	sp.End(err)
-	return v, err
-}
-
-// query runs one extent SELECT and scans its rows.
-func (w *SQL) query(ctx context.Context, stmt string, sc hdm.Scheme) (iql.Value, error) {
-	items, _, err := w.selectItems(ctx, stmt, sc, nil)
-	if err != nil {
-		return iql.Value{}, err
-	}
-	return iql.BagOf(items), nil
-}
-
 // selectItems runs one SELECT and appends its rows, mapped onto extent
 // items through sqlRow, to items; scanned is the raw row count before
-// NULL skipping, which paged fetches use to detect the final page.
+// NULL skipping, which paged scans use to detect the final page.
 func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme, items []iql.Value) (_ []iql.Value, scanned int, err error) {
 	rows, err := w.db.QueryContext(ctx, stmt)
 	if err != nil {
@@ -417,8 +401,7 @@ func (w *SQL) selectItems(ctx context.Context, stmt string, sc hdm.Scheme, items
 // are absent from both arities (a table's extent is the bag of its
 // key values, and NULL is not a key), and NULL values are absent from
 // column extents — both matching the relational wrapper, which never
-// yields them. The materialised and scanner paths share this mapping,
-// so scanner rows are byte-identical to extent rows.
+// yields them.
 func sqlRow(pair bool, key, val any) (iql.Value, bool) {
 	if key == nil {
 		return iql.Value{}, false

@@ -15,8 +15,8 @@
 //   - unknown objects produce errors, never panics;
 //   - Extent is safe for concurrent use (the prefetch pool fetches in
 //     parallel) — run the suite under -race;
-//   - context-aware wrappers (wrapper.ContextWrapper) honour an
-//     already-cancelled context;
+//   - a materialised read under an already-cancelled context
+//     (wrapper.Drain) fails instead of serving data or a fallback;
 //   - serialisable wrappers (wrapper.Snapshotter) survive a snapshot →
 //     JSON → restore round trip with an identical schema, byte-
 //     identical extents, and a byte-identical re-snapshot;
@@ -42,13 +42,6 @@ import (
 // several times per Run, so each call must yield an independent but
 // identically-populated wrapper.
 type Factory func(t *testing.T) wrapper.Wrapper
-
-// ContextWrapper is the context-aware fetch extension some wrappers
-// implement (mirrors query.ContextSourcer without importing it, to
-// keep the dependency arrow pointing wrapper ← query).
-type ContextWrapper interface {
-	ExtentContext(ctx context.Context, parts []string) (iql.Value, error)
-}
 
 // Run executes the wrapper conformance suite against factory.
 func Run(t *testing.T, factory Factory) {
@@ -179,20 +172,20 @@ func (e *mismatchError) Error() string {
 	return "extent of " + e.scheme.String() + " diverged from the serial baseline"
 }
 
-// testContextCancellation checks context-aware wrappers refuse an
-// already-cancelled context; wrappers without the extension skip.
+// testContextCancellation checks the materialised read of a scanning
+// wrapper refuses an already-cancelled context: neither rows nor a
+// snapshot fallback may stand in for a cancelled read. Wrappers without
+// a scanner skip.
 func testContextCancellation(t *testing.T, w wrapper.Wrapper) {
-	cw, ok := w.(ContextWrapper)
+	ss, ok := w.(wrapper.ScanSourcer)
 	if !ok {
-		t.Skipf("%T does not implement ExtentContext", w)
+		t.Skipf("%T does not implement ExtentScanner", w)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, o := range w.Schema().Objects() {
-		if _, err := cw.ExtentContext(ctx, o.Scheme.Parts()); err == nil {
-			t.Errorf("ExtentContext(%s) with a cancelled context succeeded", o.Scheme)
-		}
-		break // one object suffices
+	sc := w.Schema().Objects()[0].Scheme
+	if _, err := wrapper.Drain(ctx, ss, sc.Parts()); err == nil {
+		t.Errorf("Drain(%s) with a cancelled context succeeded", sc)
 	}
 }
 
